@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
-from .errors import RingMismatchError, SignatureMismatchError
+from .errors import NonFiniteError, RingMismatchError, SignatureMismatchError
 
 RATIONAL = "rational"
 FLOAT64 = "f64"
@@ -133,6 +133,16 @@ def _coerce(value, ring):
             f"{type(value).__name__} coefficient in the f64 ring"
         )
     raise RingMismatchError(f"unknown scalar ring {ring!r}")
+
+
+def _require_finite(*elements):
+    """Raise NonFiniteError if a float coefficient is NaN or infinite.
+
+    Called where elements enter a computation, never per product."""
+    for u in elements:
+        if u.ring == FLOAT64 and not all(map(isfinite, u.coeffs)):
+            bad = next(c for c in u.coeffs if not isfinite(c))
+            raise NonFiniteError(f"non-finite coefficient {bad!r}")
 
 
 class Multivector:

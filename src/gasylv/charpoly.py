@@ -10,10 +10,17 @@ coefficients that halve the recursion for odd n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FLOAT64, RATIONAL, Multivector, center_project, conjugate
+from .algebra import (
+    RATIONAL,
+    Multivector,
+    _require_finite,
+    center_project,
+    conjugate,
+)
 from .errors import (
     InternalError,
     NumericalDegradationError,
@@ -30,10 +37,22 @@ def _ratio(num, den, ring):
     return num / den
 
 
-def _det_scale(b, tol):
-    """Zero-test threshold for determinant-sized quantities: the
-    determinant scales like the N-th power of the coefficient size."""
-    return tol * (1.0 + float(b.max_abs_coeff()) ** b.sig.charpoly_degree)
+def _within_det_scale(value, b, tol):
+    """abs(value) <= tol * (1 + max|b|**N), the zero test for
+    determinant-sized quantities, which scale like the N-th power of the
+    coefficient size.  The power is split with frexp, and compared in
+    log space where it would overflow a float."""
+    value = abs(value)
+    big_n = b.sig.charpoly_degree
+    mant, exp = math.frexp(float(b.max_abs_coeff()))
+    mant **= big_n
+    exp *= big_n
+    if exp < 1000:
+        return value <= tol * (1.0 + math.ldexp(mant, exp))
+    # The threshold exceeds 2**(1000 - N): the 1 is far below its ulp.
+    if not 0 < value < math.inf:
+        return value == 0
+    return math.log2(value) <= math.log2(tol) + math.log2(mant) + exp
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,7 @@ def char_poly(b, tol=DEFAULT_ZERO_TOL):
     (a consequence of Cayley-Hamilton); for floats a residue above
     tolerance raises NumericalDegradationError.
     """
+    _require_finite(b)
     sig = b.sig
     big_n = sig.charpoly_degree
     iterates = []
@@ -96,9 +116,13 @@ def char_poly(b, tol=DEFAULT_ZERO_TOL):
             raise InternalError(
                 "final characteristic-polynomial iterate is not scalar"
             )
-    elif residue > _det_scale(b, tol):
+    elif not _within_det_scale(residue, b, tol):
         raise NumericalDegradationError(
             f"non-scalar residue {residue} in the final iterate"
+        )
+    elif not all(map(math.isfinite, coeffs)):
+        raise NumericalDegradationError(
+            "a characteristic-polynomial coefficient overflows"
         )
     return CharPolyData(sig, tuple(iterates), tuple(coeffs))
 
@@ -117,7 +141,7 @@ def is_zero_scalar(value, b, tol=DEFAULT_ZERO_TOL):
     from the element b."""
     if b.ring == RATIONAL:
         return value == 0
-    return abs(value) <= _det_scale(b, tol)
+    return _within_det_scale(value, b, tol)
 
 
 def inverse(b, tol=DEFAULT_ZERO_TOL):
@@ -156,7 +180,7 @@ def _as_scalar(u, reference, tol):
     if u.ring == RATIONAL:
         if residue != 0:
             raise InternalError("expected a pure scalar result")
-    elif residue > _det_scale(reference, tol):
+    elif not _within_det_scale(residue, reference, tol):
         raise NumericalDegradationError(
             f"non-scalar residue {residue} in a determinant expression"
         )

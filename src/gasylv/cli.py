@@ -1,14 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or parse error, 2 singular problem or
-element, 3 internal consistency failure.  Flags take precedence over
-the environment (GASYLV_SCALAR, GASYLV_TOL), which beats the defaults.
+Exit codes: 0 success, 1 usage or parse error (non-finite values
+included), 2 singular problem or element, 3 internal consistency failure
+or float-mode numerical failure (residue above tolerance, overflow).
+Flags take precedence over the environment (GASYLV_SCALAR, GASYLV_TOL),
+which beats the defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -113,8 +116,8 @@ def _resolve_config(args):
         env = os.environ.get("GASYLV_TOL")
         tol = float(env) if env else cp.DEFAULT_ZERO_TOL
     res_tol = args.res_tol if args.res_tol is not None else sylv.DEFAULT_RESIDUAL_TOL
-    if tol <= 0 or res_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < tol < math.inf and 0 < res_tol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     try:
         p_text, q_text = args.signature.split(",")
         sig = Signature(int(p_text), int(q_text))

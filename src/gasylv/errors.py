@@ -13,6 +13,10 @@ class RingMismatchError(GasylvError):
     """Operands carry coefficients from different scalar rings."""
 
 
+class NonFiniteError(GasylvError):
+    """A float coefficient is NaN or infinite."""
+
+
 class ParseError(GasylvError):
     """Multivector literal does not match the grammar.
 

@@ -13,6 +13,7 @@ Golden fixture files use one blade term per line: 'MASK NUM/DEN'.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ def parse_multivector(text, sig, ring=RATIONAL):
             pos += 1
         if pos >= length:
             break
+        start = pos
         sign = 1
         if text[pos] in "+-":
             if text[pos] == "-":
@@ -72,7 +74,10 @@ def parse_multivector(text, sig, ring=RATIONAL):
         if num:
             token = num.group(0).replace(" ", "")
             if "/" in token:
-                coef = Fraction(*map(int, token.split("/")))
+                num_text, den_text = token.split("/")
+                if int(den_text) == 0:
+                    raise ParseError("zero denominator", pos)
+                coef = Fraction(int(num_text), int(den_text))
             elif "." in token:
                 if ring == RATIONAL:
                     raise ParseError(
@@ -110,7 +115,13 @@ def parse_multivector(text, sig, ring=RATIONAL):
         if coef is None:
             coef = Fraction(1) if ring == RATIONAL else 1.0
         if ring == FLOAT64:
-            coeffs[mask] += sign * float(coef)
+            try:
+                value = coeffs[mask] + sign * float(coef)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ParseError("coefficient outside the f64 range", start)
+            coeffs[mask] = value
         else:
             coeffs[mask] += sign * coef
         first = False

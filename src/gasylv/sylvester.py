@@ -5,13 +5,32 @@ D = phi_B(A) (the characteristic polynomial of B evaluated at A) and a
 matching right-hand combination F, so that D X = F, then inverting D by
 its own characteristic-polynomial recursion.  For odd n a half-length
 variant builds D and F from the N/2 generalized central coefficients.
+
+In the rational ring every solve runs on integers.  On entry the
+denominators are cleared once: with L the lcm of all coefficient
+denominators of A, B and C, the method solves (LA)X - X(LB) = LC, which
+has the same X.  The residual is checked on the integer numerator
+M = Adj(D')F' as A'M - MB' - Q'C' = 0, which is LQ' times AX - XB - C, and
+X = M / Q' is the one division.  Q, D and F are reported unscaled, as
+for the problem given: D and F are homogeneous of a degree d in (A, B)
+that each method fixes, and Q of degree dN, so D = D'/L**d, F = F'/L**d
+and Q = Q'/L**(dN).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .algebra import RATIONAL, Multivector, conjugate, sharp
+from .algebra import (
+    RATIONAL,
+    Multivector,
+    _coerce,
+    _require_finite,
+    conjugate,
+    sharp,
+)
 from .charpoly import (
     DEFAULT_ZERO_TOL,
     _as_scalar,
@@ -62,6 +81,7 @@ class SylvesterProblem:
     def __post_init__(self):
         self.a._check_compat(self.b)
         self.a._check_compat(self.c)
+        _require_finite(self.a, self.b, self.c)
 
     @property
     def sig(self):
@@ -94,25 +114,6 @@ def _powers(a, top):
     for _ in range(top):
         pw.append(pw[-1] * a)
     return pw
-
-
-def _finish(prob, x, q, d, f, method, res_tol):
-    residual = verify_residual(prob, x)
-    if prob.ring == RATIONAL:
-        if residual != 0:
-            raise ResidualCheckFailedError(
-                f"exact residual {residual} for method {method}"
-            )
-        return SylvesterSolution(x, q, d, f, method, residual)
-    norm_x = x.max_abs_coeff()
-    bound = res_tol * (
-        1.0
-        + prob.a.max_abs_coeff() * norm_x
-        + norm_x * prob.b.max_abs_coeff()
-    )
-    return SylvesterSolution(
-        x, q, d, f, method, residual, low_confidence=residual > bound
-    )
 
 
 def build_D_general(a, b):
@@ -158,25 +159,28 @@ def _assemble_f(pw, iterates, coeffs, c):
     return f
 
 
-def _invert_d(prob, d, f, method, tol, res_tol):
-    data = char_poly(d, tol)
-    q = data.coeffs[-1]
-    if is_zero_scalar(q, d, tol):
-        raise SingularProblemError(q, d)
-    adj_like = data.iterates[-2] - Multivector.scalar(
-        d.sig, data.coeffs[-2], d.ring
+def _recursion(work, method, tol):
+    """D, F, the adjugate-like factor, Q and the degree of D for the
+    recursions: all N coefficients of B (general) or the N/2 central
+    ones (general_odd)."""
+    if method == GENERAL:
+        data = char_poly(work.b, tol)
+    else:
+        data = generalized_coeffs(work.b)
+    degree = len(data.coeffs)
+    pw = _powers(work.a, degree)
+    d = _assemble_d(pw, data.coeffs, work.a)
+    f = _assemble_f(pw, data.iterates, data.coeffs, work.c)
+    inv = char_poly(d, tol)
+    adj_like = inv.iterates[-2] - Multivector.scalar(
+        d.sig, inv.coeffs[-2], d.ring
     )
-    x = (adj_like * f) / q
-    return _finish(prob, x, q, d, f, method, res_tol)
+    return d, f, adj_like, inv.coeffs[-1], degree
 
 
 def solve_general(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
     """Recursive solver valid for any n."""
-    data = char_poly(prob.b, tol)
-    pw = _powers(prob.a, data.degree)
-    d = _assemble_d(pw, data.coeffs, prob.a)
-    f = _assemble_f(pw, data.iterates, data.coeffs, prob.c)
-    return _invert_d(prob, d, f, GENERAL, tol, res_tol)
+    return _solve(prob, GENERAL, _recursion, tol, res_tol)
 
 
 def solve_general_odd(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
@@ -184,11 +188,7 @@ def solve_general_odd(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
     generalized central coefficients of B."""
     if prob.sig.dim % 2 == 0:
         raise ValueError("the odd-n solver requires odd n")
-    data = generalized_coeffs(prob.b)
-    pw = _powers(prob.a, len(data.coeffs))
-    d = _assemble_d(pw, data.coeffs, prob.a)
-    f = _assemble_f(pw, data.iterates, data.coeffs, prob.c)
-    return _invert_d(prob, d, f, GENERAL_ODD, tol, res_tol)
+    return _solve(prob, GENERAL_ODD, _recursion, tol, res_tol)
 
 
 def _quartic_d_f(a, b, c, use_sharp):
@@ -224,9 +224,13 @@ def _quartic_d_f(a, b, c, use_sharp):
 
 def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
     """Dispatch the per-dimension closed-form solutions."""
-    n = prob.sig.dim
-    a, b, c = prob.a, prob.b, prob.c
-    sig = prob.sig
+    return _solve(prob, variant, _closed_form, tol, res_tol)
+
+
+def _closed_form(work, variant, tol):
+    """D, F, Adj(D), Q and the degree of D for a closed form."""
+    n = work.sig.dim
+    a, b, c = work.a, work.b, work.c
 
     if variant == CLOSED_N1:
         if n != 1:
@@ -235,6 +239,7 @@ def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_T
         adj = d.hat()
         q = _as_scalar(d * adj, d, tol)
         rhs = c
+        degree = 1
     elif variant in (CLOSED_N2, CLOSED_N3):
         if n != (2 if variant == CLOSED_N2 else 3):
             raise ValueError(f"{variant} does not match n = {n}")
@@ -247,6 +252,7 @@ def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_T
             adj = d.hat() * d.tilde() * dth
         q = _as_scalar(d * adj, d, tol)
         rhs = a * c - c * bth
+        degree = 2
     elif variant in (CLOSED_N4_V1, CLOSED_N4_V2, CLOSED_N5):
         if variant == CLOSED_N5:
             if n != 5:
@@ -263,13 +269,71 @@ def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_T
             core = d * d.tilde() * sharp(d)
             adj = d.tilde() * sharp(d) * core.triangle()
         q = _as_scalar(d * adj, d, tol)
+        degree = 4
     else:
         raise ValueError(f"unknown closed-form variant {variant!r}")
+    return d, rhs, adj, q, degree
 
+
+def _clear_denominators(prob):
+    """(L, the problem with A, B and C multiplied by L), L the lcm of
+    every coefficient denominator; L = 1 returns the problem itself."""
+    if prob.ring != RATIONAL:
+        return 1, prob
+    scale = lcm(*(
+        c.denominator for u in (prob.a, prob.b, prob.c) for c in u.coeffs
+    ))
+    if scale == 1:
+        return 1, prob
+    return scale, SylvesterProblem(
+        prob.a.scale(scale), prob.b.scale(scale), prob.c.scale(scale)
+    )
+
+
+def _verified_x(prob, work, m, q, method, res_tol):
+    """(X, residual, low_confidence) for X = M / Q, checked by
+    substitution.  The rational ring checks A'M - MB' - Q'C' = 0 on the
+    integer problem `work` before the one division; floats check the
+    problem as given and flag a residual that is above its bound or not
+    finite."""
+    if prob.ring == RATIONAL:
+        residual = verify_residual(
+            SylvesterProblem(work.a, work.b, work.c.scale(q)), m
+        )
+        if residual != 0:
+            raise ResidualCheckFailedError(
+                f"exact residual {residual} for method {method}"
+            )
+        return m / q, residual, False
+    x = m / q
+    residual = verify_residual(prob, x)
+    norm_x = x.max_abs_coeff()
+    bound = res_tol * (
+        1.0
+        + prob.a.max_abs_coeff() * norm_x
+        + norm_x * prob.b.max_abs_coeff()
+    )
+    return x, residual, not residual <= bound
+
+
+def _solve(prob, method, core, tol, res_tol):
+    """Entry and exit shared by every solver: clear denominators, run
+    core(work, method, tol) -> (D, F, Adj, Q, degree of D) on the
+    integer problem, check and divide once, report Q, D and F
+    unscaled."""
+    scale, work = _clear_denominators(prob)
+    d, f, adj, q, degree = core(work, method, tol)
     if is_zero_scalar(q, d, tol):
-        raise SingularProblemError(q, d)
-    x = (adj * rhs) / q
-    return _finish(prob, x, q, d, rhs, variant, res_tol)
+        raise SingularProblemError(q, d / scale ** degree)
+    x, residual, low_confidence = _verified_x(
+        prob, work, adj * f, q, method, res_tol
+    )
+    if scale != 1:
+        d_scale = scale ** degree
+        d = d / d_scale
+        f = f / d_scale
+        q = _coerce(Fraction(q, d_scale ** prob.sig.charpoly_degree), RATIONAL)
+    return SylvesterSolution(x, q, d, f, method, residual, low_confidence)
 
 
 def solve(prob, method=None, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):

@@ -8,6 +8,8 @@ from gasylv import (
     RATIONAL,
     InternalError,
     Multivector,
+    NonFiniteError,
+    NumericalDegradationError,
     Signature,
     SingularElementError,
     adjugate,
@@ -81,6 +83,36 @@ class TestCharPoly:
         bf = Multivector(sig, [float(c) for c in b.coeffs], FLOAT64)
         exact = determinant(b)
         assert determinant(bf) == pytest.approx(float(exact), rel=1e-12)
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_element_rejected(self, bad):
+        sig = Signature(2, 0)
+        b = Multivector(sig, [1.0, 0.0, bad, 0.0], FLOAT64)
+        for fn in (char_poly, determinant, adjugate, inverse):
+            with pytest.raises(NonFiniteError):
+                fn(b)
+
+    def test_float_overflow_is_refused(self):
+        # |b|**N overflows a float: the zero-test scale is compared in
+        # log space, and the overflowing coefficient is refused.
+        sig = Signature(2, 0)
+        b = Multivector(sig, [1e200, 1.0, 0.0, 0.0], FLOAT64)
+        with pytest.raises(NumericalDegradationError):
+            determinant(b)
+
+    def test_float_zero_test_beyond_float_range(self):
+        # |b|**N = 1e400 overflows a float, while every value the
+        # recursion computes stays finite: a nilpotent b has determinant
+        # 0, and a scalar 1e76 has determinant 1e304.
+        sig = Signature(2, 1)
+        nilpotent = Multivector(sig, [0.0, 1e100, 0.0, 0.0, 1e100, 0.0, 0.0, 0.0], FLOAT64)
+        assert determinant(nilpotent) == 0
+        with pytest.raises(SingularElementError):
+            inverse(nilpotent)
+        big = Multivector.scalar(sig, 1e76, FLOAT64)
+        assert determinant(big) == pytest.approx(1e304, rel=1e-12)
+        assert inverse(big).coeffs[0] == pytest.approx(1e-76, rel=1e-12)
 
 
 class TestDeterminant:

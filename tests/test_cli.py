@@ -131,6 +131,33 @@ class TestSolve:
         assert code == 0
         assert "X = 1.0" in out
 
+    def test_float_overflow_exit_code(self, capsys):
+        # D = phi_B(A) is about 30**16, so its determinant overflows a
+        # float: a numerical failure, reported without a traceback.
+        code, _, err = run(
+            capsys, "solve", "--signature", "4,4", "--scalar", "f64",
+            "--a", "30.0 + e1", "--b", "e2", "--c", "e3",
+        )
+        assert code == 3
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400 + ".0", "1/0"])
+    def test_non_finite_literal_exit_code(self, capsys, literal):
+        code, _, err = run(
+            capsys, "solve", "--signature", "1,1", "--scalar", "f64",
+            "--a", literal, "--b", "1.0", "--c", "1.0",
+        )
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_code(self, capsys, tol):
+        code, _, _ = run(
+            capsys, "solve", "--signature", "1,1", "--scalar", "f64",
+            "--a", "2.0", "--b", "1.0", "--c", "1.0", "--tol", tol,
+        )
+        assert code == 1
+
     def test_float_scalar_ring(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--signature", "2,0", "--scalar", "f64",
@@ -152,6 +179,14 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out.strip() == f"Det = {determinant(b)}"
+
+    def test_det_float_overflow_exit_code(self, capsys):
+        code, _, err = run(
+            capsys, "det", "--signature", "2,0", "--scalar", "f64",
+            "--b", "1" + "0" * 200 + ".0 + e1",
+        )
+        assert code == 3
+        assert err.startswith("error:")
 
     def test_inverse(self, capsys):
         code, out, _ = run(

@@ -79,6 +79,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_multivector(text, Signature(2, 1), RATIONAL)
 
+    @pytest.mark.parametrize("text", [
+        "1" + "0" * 400 + ".0",
+        "2 + 1" + "0" * 400 + "e1",
+        "1" + "0" * 308 + ".0 + 1" + "0" * 308 + ".0",
+    ])
+    def test_float_out_of_range_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_multivector(text, Signature(2, 0), FLOAT64)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_multivector("e1 + 3/0", Signature(2, 0), RATIONAL)
+        assert err.value.offset == 5
+
     def test_error_carries_offset(self):
         with pytest.raises(ParseError) as err:
             parse_multivector("1 + 2e1 ? 3", Signature(2, 0), RATIONAL)

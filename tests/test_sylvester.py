@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from gasylv import (
     RATIONAL,
     METHODS,
     Multivector,
+    NonFiniteError,
+    ResidualCheckFailedError,
     Signature,
     SignatureMismatchError,
     SingularProblemError,
@@ -25,6 +28,7 @@ from gasylv import (
     solve_general_odd,
     verify_residual,
 )
+from gasylv import sylvester
 from gasylv.sylvester import _CLOSED_FOR_DIM, CLOSED_N4_V1, CLOSED_N4_V2
 from conftest import all_signatures, random_mv
 from oracles import brute_force_sylvester
@@ -217,6 +221,107 @@ class TestRegressionFixtures:
         # The general recursion reaches the same X independently.
         assert solve(prob, method="general").x == sol.x
 
+    def test_fraction_fixture_every_method(self):
+        # Fraction inputs (L > 1): X, and Q, D and F of every applicable
+        # method as values of the problem given, not of its scaled form.
+        root = FIXTURES / "example3"
+        meta = dict(
+            line.split(None, 1)
+            for line in (root / "meta.txt").read_text().splitlines()
+            if line.strip()
+        )
+        p, q_dim = (int(v) for v in meta["signature"].split(","))
+        sig = Signature(p, q_dim)
+
+        def load(path):
+            return load_coeff_lines((root / path).read_text(), sig, RATIONAL)
+
+        prob = SylvesterProblem(load("a.txt"), load("b.txt"), load("c.txt"))
+        assert any(c.denominator != 1 for c in prob.a.coeffs)
+        methods = meta["methods"].split()
+        assert methods == ["closed_n5", "general", "general_odd"]
+        for method in methods:
+            sol = solve(prob, method=method)
+            assert sol.method == method
+            assert sol.q == Fraction((root / method / "q.txt").read_text().strip())
+            assert sol.d == load(f"{method}/d.txt")
+            assert sol.f == load(f"{method}/f.txt")
+            assert sol.x == load("x.txt")
+            assert sol.residual == 0
+
+
+def _d_degree(method, n):
+    """Degree of D (and of F) in (A, B); Q has N times it."""
+    big_n = Signature(n, 0).charpoly_degree
+    return {
+        "closed_n1": 1, "closed_n2": 2, "closed_n3": 2,
+        "general": big_n, "general_odd": big_n // 2,
+    }.get(method, 4)
+
+
+class TestIntegerCore:
+    def _methods(self, n):
+        methods = ["general"]
+        if n % 2:
+            methods.append("general_odd")
+        if n in _CLOSED_FOR_DIM:
+            methods.append(_CLOSED_FOR_DIM[n])
+        if n == 4:
+            methods.append(CLOSED_N4_V1)
+        return methods
+
+    def test_reported_values_are_those_of_the_given_problem(self, rng):
+        # Dividing an integer problem by L gives the same X, D and F
+        # divided by L**d and Q divided by L**(d N): the values of the
+        # fraction problem, not of the integer problem it is solved as.
+        for sig in all_signatures(5):
+            n = sig.dim
+            prob = solvable_problem(sig, rng, -3, 3)
+            big_l = 6
+            frac = SylvesterProblem(
+                prob.a / big_l, prob.b / big_l, prob.c / big_l
+            )
+            for method in self._methods(n):
+                try:
+                    whole = solve(prob, method=method)
+                except SingularProblemError:
+                    continue
+                part = solve(frac, method=method)
+                scale = Fraction(big_l) ** _d_degree(method, n)
+                assert part.x == whole.x, (sig, method)
+                assert part.d == whole.d / scale, (sig, method)
+                assert part.f == whole.f / scale, (sig, method)
+                assert part.q == whole.q / scale ** sig.charpoly_degree
+                assert part.residual == 0
+
+    def test_mixed_denominators(self, rng):
+        sig = Signature(1, 2)
+        a = parse_multivector("1/2 + 2/3e1 - e23", sig, RATIONAL)
+        b = parse_multivector("-3/4 + 1/5e12", sig, RATIONAL)
+        c = parse_multivector("1/7e3 - 2", sig, RATIONAL)
+        prob = SylvesterProblem(a, b, c)
+        for method in self._methods(sig.dim):
+            x = solve(prob, method=method).x
+            assert a * x - x * b == c
+            assert x == brute_force_sylvester(prob)
+
+    def test_corrupted_numerator_fails_the_exact_check(self, rng, monkeypatch):
+        # The exact check runs on the integer numerator M before the one
+        # division; a wrong M must not get through it.
+        prob = solvable_problem(Signature(1, 3), rng, -3, 3)
+        frac = SylvesterProblem(prob.a / 3, prob.b / 3, prob.c / 5)
+        checked = sylvester._verified_x
+
+        def corrupted(prob, work, m, *rest):
+            assert all(isinstance(c, int) for c in m.coeffs)
+            return checked(prob, work, m + Multivector.scalar(m.sig, 1), *rest)
+
+        monkeypatch.setattr(sylvester, "_verified_x", corrupted)
+        for p in (prob, frac):
+            for method in self._methods(4):
+                with pytest.raises(ResidualCheckFailedError):
+                    solve(p, method=method)
+
 
 class TestResidual:
     def test_zero_for_exact_solution(self, rng):
@@ -250,6 +355,26 @@ class TestFloatMode:
         assert not fsol.low_confidence
         for got, want in zip(fsol.x.coeffs, exact.coeffs):
             assert got == pytest.approx(float(want), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        sig = Signature(1, 1)
+        one = Multivector.scalar(sig, 1.0, FLOAT64)
+        bad_mv = Multivector(sig, [1.0, bad, 0.0, 0.0], FLOAT64)
+        for args in ((bad_mv, one, one), (one, bad_mv, one), (one, one, bad_mv)):
+            with pytest.raises(NonFiniteError):
+                SylvesterProblem(*args)
+
+    def test_non_finite_residual_is_flagged(self):
+        # Q overflows to inf and so does the numerator: X = inf/inf is
+        # NaN, and a NaN residual must never pass as confident.
+        sig = Signature(1, 0)
+        a = Multivector(sig, [1e155, 1.0], FLOAT64)
+        b = Multivector(sig, [0.0, 1.0], FLOAT64)
+        c = Multivector(sig, [1e300, 0.0], FLOAT64)
+        sol = solve(SylvesterProblem(a, b, c))
+        assert math.isnan(sol.residual)
+        assert sol.low_confidence
 
     def test_float_singular_detection(self):
         sig = Signature(1, 2)
