@@ -72,38 +72,19 @@ def _grades(n):
     return tuple(mask.bit_count() for mask in range(1 << n))
 
 
-def _reorder_sign(a, b):
-    # Parity of the transpositions needed to interleave the sorted index
-    # list of b into that of a.
-    a >>= 1
-    total = 0
-    while a:
-        total += (a & b).bit_count()
-        a >>= 1
-    return -1 if total & 1 else 1
-
-
-def _blade_sign(a, b, qmask):
-    sign = _reorder_sign(a, b)
-    if (a & b & qmask).bit_count() & 1:
-        sign = -sign
-    return sign
-
-
-# Full 2**(2n)-entry Cayley sign tables are only affordable for small n.
-_TABLE_DIM_CAP = 8
-
-
 @lru_cache(maxsize=None)
-def _sign_table(n, p):
-    size = 1 << n
+def _sign_masks(n, p):
+    """Row masks of the blade sign rule: e_a e_b = (-1)**popcount(b & m_a)
+    e_(a^b), with m_a = (a>>1) ^ (a>>2) ^ ... ^ (a & qmask).
+
+    The shifts count the transpositions that interleave b's generators
+    into a's; the qmask term counts the shared generators squaring to -1.
+    """
     qmask = ((1 << n) - 1) & ~((1 << p) - 1)
-    table = bytearray(size * size)
-    for a in range(size):
-        base = a << n
-        for b in range(size):
-            table[base | b] = 1 if _blade_sign(a, b, qmask) > 0 else 0
-    return bytes(table)
+    shifts = [0] * (1 << n)
+    for a in range(2, 1 << n):
+        shifts[a] = (a >> 1) ^ shifts[a >> 1]
+    return tuple(m ^ (a & qmask) for a, m in enumerate(shifts))
 
 
 def blade_product(a_mask, b_mask, sig):
@@ -111,8 +92,8 @@ def blade_product(a_mask, b_mask, sig):
     n = sig.dim
     if not (0 <= a_mask < (1 << n) and 0 <= b_mask < (1 << n)):
         raise ValueError("blade mask out of range for the signature")
-    qmask = ((1 << n) - 1) & ~((1 << sig.p) - 1)
-    return _blade_sign(a_mask, b_mask, qmask), a_mask ^ b_mask
+    odd = (b_mask & _sign_masks(n, sig.p)[a_mask]).bit_count() & 1
+    return (-1 if odd else 1), a_mask ^ b_mask
 
 
 def _coerce(value, ring):
@@ -128,7 +109,12 @@ def _coerce(value, ring):
         )
     if ring == FLOAT64:
         if isinstance(value, (int, float, Fraction)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise NonFiniteError(
+                    f"{type(value).__name__} coefficient beyond the f64 range"
+                ) from None
         raise RingMismatchError(
             f"{type(value).__name__} coefficient in the f64 ring"
         )
@@ -261,7 +247,7 @@ class Multivector:
             return NotImplemented
         if self.ring == RATIONAL:
             return self.scale(Fraction(1, 1) / value)
-        return self.scale(1.0 / float(value))
+        return self.scale(1.0 / _coerce(value, self.ring))
 
     # -- geometric product ----------------------------------------------
 
@@ -270,39 +256,20 @@ class Multivector:
             return self.scale(other)
         self._check_compat(other)
         n = self.sig.dim
-        size = 1 << n
-        out = [self._zero()] * size
-        u = self.coeffs
-        v = other.coeffs
-        if n <= _TABLE_DIM_CAP:
-            table = _sign_table(n, self.sig.p)
-            for a in range(size):
-                ca = u[a]
-                if not ca:
-                    continue
-                base = a << n
-                for b in range(size):
-                    cb = v[b]
-                    if not cb:
-                        continue
-                    if table[base | b]:
-                        out[a ^ b] += ca * cb
-                    else:
-                        out[a ^ b] -= ca * cb
-        else:
-            qmask = ((1 << n) - 1) & ~((1 << self.sig.p) - 1)
-            for a in range(size):
-                ca = u[a]
-                if not ca:
-                    continue
-                for b in range(size):
-                    cb = v[b]
-                    if not cb:
-                        continue
-                    if _blade_sign(a, b, qmask) > 0:
-                        out[a ^ b] += ca * cb
-                    else:
-                        out[a ^ b] -= ca * cb
+        out = [self._zero()] * (1 << n)
+        # e_a e_b = -e_(a^b) exactly when b & masks[a] has odd popcount.
+        terms = [(b, cb) for b, cb in enumerate(other.coeffs) if cb]
+        masks = _sign_masks(n, self.sig.p)
+        popcount = _grades(n)
+        for a, ca in enumerate(self.coeffs):
+            if not ca:
+                continue
+            m = masks[a]
+            for b, cb in terms:
+                if popcount[b & m] & 1:
+                    out[a ^ b] -= ca * cb
+                else:
+                    out[a ^ b] += ca * cb
         return Multivector(self.sig, out, self.ring)
 
     def __rmul__(self, other):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import (
     RATIONAL,
     Multivector,
+    _coerce,
     _require_finite,
     center_project,
     conjugate,
@@ -28,13 +29,6 @@ from .errors import (
 )
 
 DEFAULT_ZERO_TOL = 1e-9
-
-
-def _ratio(num, den, ring):
-    if ring == RATIONAL:
-        value = Fraction(num, den)
-        return value.numerator if value.denominator == 1 else value
-    return num / den
 
 
 def _within_det_scale(value, b, tol):
@@ -103,9 +97,7 @@ def char_poly(b, tol=DEFAULT_ZERO_TOL):
     coeffs = []
     cur = b
     for k in range(1, big_n + 1):
-        bk = _ratio(big_n, k, b.ring) * cur.scalar_part()
-        if b.ring == RATIONAL and isinstance(bk, Fraction) and bk.denominator == 1:
-            bk = bk.numerator
+        bk = _coerce(Fraction(big_n, k) * cur.scalar_part(), b.ring)
         iterates.append(cur)
         coeffs.append(bk)
         if k < big_n:
@@ -167,7 +159,7 @@ def generalized_coeffs(b):
     coeffs = []
     cur = b
     for k in range(1, half + 1):
-        bk = center_project(cur).scale(_ratio(half, k, b.ring))
+        bk = center_project(cur).scale(Fraction(half, k))
         iterates.append(cur)
         coeffs.append(bk)
         if k < half:

@@ -281,6 +281,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse strips a value of exactly '--' and stores an empty list.
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("an option value is missing")
     except SystemExit as exc:
         return int(exc.code or 0)
     fmt = getattr(args, "fmt", "text")

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .algebra import FLOAT64, RATIONAL, Multivector, _grades
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 
 _NUMBER = re.compile(r"\d+(?:\s*/\s*\d+|\.\d+)?")
 _BLADE_DIGITS = re.compile(r"e(\d+)")
@@ -152,7 +152,10 @@ def _float_str(x):
 
 def _coef_str(value, decimal):
     if decimal or isinstance(value, float):
-        return _float_str(float(value))
+        try:
+            return _float_str(float(value))
+        except OverflowError:
+            pass  # a rational beyond the f64 range keeps its exact form
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))
@@ -218,6 +221,7 @@ def load_coeff_lines(text, sig, ring=RATIONAL):
         if not 0 <= mask < sig.ncoeffs:
             raise ParseError(f"mask {mask} out of range on line {lineno}", lineno)
         coeffs[mask] += coef
-    if ring == FLOAT64:
-        return Multivector(sig, [float(c) for c in coeffs], ring)
-    return Multivector(sig, coeffs, ring)
+    try:
+        return Multivector(sig, coeffs, ring)
+    except NonFiniteError as exc:
+        raise ParseError(str(exc), 0) from None

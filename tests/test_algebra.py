@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gasylv import (
     FLOAT64,
     Multivector,
+    NonFiniteError,
     RingMismatchError,
     Signature,
     SignatureMismatchError,
@@ -18,8 +19,8 @@ from gasylv import (
     scalar_via_conjugations,
     sharp,
 )
-from conftest import all_signatures, random_mv
-from oracles import oracle_product
+from conftest import all_signatures, random_mv, random_sparse_mv
+from oracles import mask_to_word, oracle_product, word_product, word_to_mask
 
 
 class TestSignature:
@@ -65,6 +66,15 @@ class TestBladeProduct:
         with pytest.raises(ValueError):
             blade_product(16, 0, Signature(2, 2))
 
+    def test_all_pairs_match_word_oracle(self):
+        for sig in all_signatures(4):
+            for a in range(sig.ncoeffs):
+                for b in range(sig.ncoeffs):
+                    sign, word = word_product(
+                        mask_to_word(a), mask_to_word(b), sig.p
+                    )
+                    assert blade_product(a, b, sig) == (sign, word_to_mask(word))
+
 
 class TestGeometricProduct:
     def test_identity_element(self, rng):
@@ -93,6 +103,12 @@ class TestGeometricProduct:
                 u = random_mv(sig, rng, -5, 5)
                 v = random_mv(sig, rng, -5, 5)
                 assert u * v == oracle_product(u, v)
+        # Sparse operands keep the word oracle fast at n = 9, 10.
+        for sig in [Signature(5, 4), Signature(0, 10)]:
+            for _ in range(10):
+                u = random_sparse_mv(sig, rng, 8)
+                v = random_sparse_mv(sig, rng, 8)
+                assert u * v == oracle_product(u, v)
 
     def test_associativity(self, rng):
         for sig in [Signature(1, 1), Signature(2, 1), Signature(1, 3), Signature(3, 2)]:
@@ -120,6 +136,22 @@ class TestGeometricProduct:
     def test_no_implicit_float_promotion(self):
         with pytest.raises(RingMismatchError):
             Multivector.scalar(Signature(1, 1), 0.5)
+
+    def test_f64_overflow_on_construction(self):
+        with pytest.raises(NonFiniteError):
+            Multivector(Signature(1, 0), [10**400, 0], FLOAT64)
+        with pytest.raises(NonFiniteError):
+            Multivector.scalar(Signature(1, 0), Fraction(10**400, 3), FLOAT64)
+
+    def test_f64_overflow_on_scale(self):
+        u = Multivector.scalar(Signature(1, 0), 1.0, FLOAT64)
+        with pytest.raises(NonFiniteError):
+            u.scale(10**400)
+
+    def test_f64_overflow_on_division(self):
+        u = Multivector.scalar(Signature(1, 0), 1.0, FLOAT64)
+        with pytest.raises(NonFiniteError):
+            u / 10**400
 
     def test_power(self, rng):
         sig = Signature(1, 2)

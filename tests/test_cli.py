@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasylv import (
     RATIONAL,
@@ -13,6 +17,7 @@ from gasylv import (
     parse_multivector,
 )
 from gasylv.cli import main
+from gasylv.sylvester import METHODS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -150,6 +155,18 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("option", ["--signature=--", "--a=--", "--tol=--"])
+    def test_double_dash_option_value_exit_code(self, capsys, option):
+        # argparse strips a value of exactly '--' and stores an empty list.
+        args = {"--signature": "1,1", "--a": "2", "--b": "1", "--c": "1"}
+        name = option.split("=")[0]
+        argv = ["solve", option] + [
+            f"{key}={value}" for key, value in args.items() if key != name
+        ]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "option value is missing" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exit_code(self, capsys, tol):
         code, _, _ = run(
@@ -271,3 +288,50 @@ class TestConfigPrecedence:
         monkeypatch.setenv("GASYLV_TOL", "1e-6")
         code, _, _ = run(capsys, "det", "--signature", "1,0", "--b", "2")
         assert code == 0
+
+
+_TERMS = st.tuples(
+    st.sampled_from(["+", "-"]),
+    st.sampled_from(["", "0", "1", "2", "7", "3/2", "1/0", "0.5", "2.0"]),
+    st.sampled_from(["", "e", "e1", "e2", "e13", "e24", "e1234", "e{1,3}"]),
+)
+# Mostly well-formed sums of terms, so that many calls get past parsing.
+_LITERALS = st.one_of(
+    st.text(alphabet="0123456789e{},+-*/. ", max_size=16),
+    st.lists(_TERMS, min_size=1, max_size=4).map(
+        lambda terms: " ".join(f"{sign} {coef}{blade}" for sign, coef, blade in terms)
+    ),
+)
+_SIGNATURES = st.sampled_from(
+    [f"{p},{n - p}" for n in range(1, 5) for p in range(n + 1)]
+    + ["", "--", "1", "0,0", "9,8", "-1,2", "1,x", "1,2,3", "1.0,1"]
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["solve", "det", "inverse", "charpoly"]))
+    argv = [command, f"--signature={draw(_SIGNATURES)}"]
+    ring = draw(st.sampled_from([None, "rational", "f64"]))
+    if ring:
+        argv.append(f"--scalar={ring}")
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    names = ["a", "b", "c"] if command == "solve" else ["b"]
+    argv += [f"--{name}={draw(_LITERALS)}" for name in names]
+    if command in ("solve", "inverse") and draw(st.booleans()):
+        argv.append("--decimal")
+    if command == "charpoly" and draw(st.booleans()):
+        argv.append("--generalized")
+    if command == "solve" and draw(st.booleans()):
+        argv.append(f"--method={draw(st.sampled_from(METHODS))}")
+    return argv
+
+
+@given(_cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzz_exits_only_with_documented_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

@@ -136,6 +136,14 @@ class TestFormat:
         u = Multivector(sig, [1.5, -0.25, 0.0, 0.0], FLOAT64)
         assert format_multivector(u) == "1.5 - 0.25e1"
 
+    def test_decimal_beyond_float_range_stays_exact(self):
+        sig = Signature(1, 0)
+        big = 10**400
+        u = Multivector(sig, [big, Fraction(-big, 3)])
+        text = format_multivector(u, decimal=True)
+        assert text == f"{big} - {big}/3e1"
+        assert parse_multivector(text, sig, RATIONAL) == u
+
     def test_round_trip_rational(self, rng):
         for sig in all_signatures(5):
             u = random_mv(sig, rng)
@@ -188,3 +196,8 @@ class TestCoeffLines:
         u = load_coeff_lines("0 1/2\n", sig, FLOAT64)
         assert u.ring == FLOAT64
         assert u.coeffs[0] == 0.5
+
+    def test_float_ring_overflow_rejected(self):
+        sig = Signature(1, 0)
+        with pytest.raises(ParseError):
+            load_coeff_lines("0 1" + "0" * 400 + "/1\n", sig, FLOAT64)
