@@ -1,11 +1,13 @@
 """Characteristic polynomial, determinant, adjugate, and inverse of a
-multivector, via the recursive scheme
+multivector, via one Faddeev-LeVerrier recursion
 
-    B_(1) = B,   B_(k+1) = B (B_(k) - b_(k)),   b_(k) = (N/k) <B_(k)>_0,
+    B_(1) = B,   B_(k+1) = B (B_(k) - c_(k)),   c_(k) = (L/k) P(B_(k)),
 
-with N = 2**ceil(n/2), plus closed-form determinant expressions for
-n <= 5 used as cross-check oracles and the generalized central
-coefficients that halve the recursion for odd n.
+run with two projections P: L = N = 2**ceil(n/2) steps of the scalar
+part give the characteristic polynomial (c_(k) = b_(k)), and for odd n
+L = N/2 steps of the center projection give the generalized central
+coefficients that halve the recursion.  Closed-form determinant
+expressions for n <= 5 serve as cross-check oracles.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from .algebra import (
     RATIONAL,
     Multivector,
-    _coerce,
     _require_finite,
     center_project,
-    conjugate,
+    natural,
+    sharp,
 )
 from .errors import (
     InternalError,
@@ -51,7 +53,8 @@ def _within_det_scale(value, b, tol):
 
 @dataclass(frozen=True)
 class CharPolyData:
-    """Iterates B_(1)..B_(N) and scalar coefficients b_(1)..b_(N).
+    """Iterates B_(1)..B_(N), scalar coefficients b_(1)..b_(N) and the
+    differences B_(k) - b_(k), k < N, that the recursion multiplies by B.
 
     The characteristic polynomial is
     lambda**N - b_(1) lambda**(N-1) - ... - b_(N).
@@ -60,6 +63,7 @@ class CharPolyData:
     sig: object
     iterates: tuple
     coeffs: tuple
+    differences: tuple
 
     @property
     def degree(self):
@@ -75,12 +79,39 @@ class CharPolyData:
 
 @dataclass(frozen=True)
 class GeneralizedCoeffs:
-    """Central-valued coefficient sequence for odd n: N/2 iterates and
-    N/2 coefficients, each living in the center Cl^0 + Cl^n."""
+    """Central-valued coefficient sequence for odd n: N/2 iterates, N/2
+    coefficients, each living in the center Cl^0 + Cl^n, and the
+    differences B'_(k) - b'_(k), k < N/2."""
 
     sig: object
     iterates: tuple
     coeffs: tuple
+    differences: tuple
+
+
+def _faddeev_leverrier(b, length, project):
+    """Iterates, coefficients c_(k) = project(B_(k), length/k) (each a
+    multivector) and differences B_(k) - c_(k) of `length` steps."""
+    iterates = []
+    coeffs = []
+    differences = []
+    cur = b
+    for k in range(1, length + 1):
+        ck = project(cur, Fraction(length, k))
+        iterates.append(cur)
+        coeffs.append(ck)
+        if k < length:
+            differences.append(cur - ck)
+            cur = b * differences[-1]
+    return tuple(iterates), tuple(coeffs), tuple(differences)
+
+
+def _scalar_coeff(u, ratio):
+    return Multivector.scalar(u.sig, ratio * u.scalar_part(), u.ring)
+
+
+def _central_coeff(u, ratio):
+    return center_project(u).scale(ratio)
 
 
 def char_poly(b, tol=DEFAULT_ZERO_TOL):
@@ -91,32 +122,16 @@ def char_poly(b, tol=DEFAULT_ZERO_TOL):
     tolerance raises NumericalDegradationError.
     """
     _require_finite(b)
-    sig = b.sig
-    big_n = sig.charpoly_degree
-    iterates = []
-    coeffs = []
-    cur = b
-    for k in range(1, big_n + 1):
-        bk = _coerce(Fraction(big_n, k) * cur.scalar_part(), b.ring)
-        iterates.append(cur)
-        coeffs.append(bk)
-        if k < big_n:
-            cur = b * (cur - Multivector.scalar(sig, bk, b.ring))
-    residue = iterates[-1].nonscalar_norm()
-    if b.ring == RATIONAL:
-        if residue != 0:
-            raise InternalError(
-                "final characteristic-polynomial iterate is not scalar"
-            )
-    elif not _within_det_scale(residue, b, tol):
-        raise NumericalDegradationError(
-            f"non-scalar residue {residue} in the final iterate"
-        )
-    elif not all(map(math.isfinite, coeffs)):
+    iterates, coeffs, differences = _faddeev_leverrier(
+        b, b.sig.charpoly_degree, _scalar_coeff
+    )
+    coeffs = tuple(c.scalar_part() for c in coeffs)
+    _as_scalar(iterates[-1], b, tol)
+    if b.ring != RATIONAL and not all(map(math.isfinite, coeffs)):
         raise NumericalDegradationError(
             "a characteristic-polynomial coefficient overflows"
         )
-    return CharPolyData(sig, tuple(iterates), tuple(coeffs))
+    return CharPolyData(b.sig, iterates, coeffs, differences)
 
 
 def determinant(b, tol=DEFAULT_ZERO_TOL):
@@ -154,17 +169,10 @@ def generalized_coeffs(b):
     sig = b.sig
     if sig.dim % 2 == 0:
         raise ValueError("generalized coefficients are defined for odd n")
-    half = sig.charpoly_degree // 2
-    iterates = []
-    coeffs = []
-    cur = b
-    for k in range(1, half + 1):
-        bk = center_project(cur).scale(Fraction(half, k))
-        iterates.append(cur)
-        coeffs.append(bk)
-        if k < half:
-            cur = b * (cur - bk)
-    return GeneralizedCoeffs(sig, tuple(iterates), tuple(coeffs))
+    return GeneralizedCoeffs(
+        sig,
+        *_faddeev_leverrier(b, sig.charpoly_degree // 2, _central_coeff),
+    )
 
 
 def _as_scalar(u, reference, tol):
@@ -192,9 +200,9 @@ def closed_form_det(b, tol=DEFAULT_ZERO_TOL):
     elif n == 3:
         prod = b * b.hat() * b.tilde() * b.tilde().hat()
     elif n == 4:
-        prod = b * b.tilde().hat() * conjugate(b.hat() * b.tilde(), "triangle")
+        prod = b * b.tilde().hat() * natural(b)
     elif n == 5:
-        core = b * b.tilde() * conjugate(b.hat() * b.hat().tilde(), "triangle")
+        core = b * b.tilde() * sharp(b)
         prod = core * core.triangle()
     else:
         raise ValueError(f"no closed determinant form for n = {n}")

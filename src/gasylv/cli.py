@@ -30,7 +30,7 @@ from .errors import (
     SingularElementError,
     SingularProblemError,
 )
-from .serialize import format_multivector, parse_multivector
+from .serialize import _scalar_str, format_multivector, parse_multivector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +129,7 @@ def _resolve_config(args):
 def _scalar_json(value):
     if isinstance(value, float):
         return value
-    return str(value)
+    return _scalar_str(value)
 
 
 def _emit(payload, fmt, text_lines):
@@ -152,7 +152,7 @@ def _cmd_solve(args):
     decimal = args.decimal or ring == FLOAT64
     if ring == RATIONAL and not args.decimal:
         numerator = format_multivector(sol.x.scale(sol.q))
-        denominator = str(sol.q)
+        denominator = _scalar_str(sol.q)
         x_text = f"(1/{denominator})({numerator})"
     else:
         numerator = format_multivector(sol.x, decimal=True)
@@ -170,7 +170,7 @@ def _cmd_solve(args):
     lines = [
         f"signature: Cl({sig.p},{sig.q})",
         f"method: {sol.method}",
-        f"Q = {sol.q}",
+        f"Q = {_scalar_str(sol.q)}",
         f"D = {payload['D']}",
         f"F = {payload['F']}",
         f"X = {x_text}",
@@ -188,7 +188,7 @@ def _cmd_det(args):
     b = parse_multivector(args.b, sig, ring)
     det = cp.determinant(b, tol)
     payload = {"signature": [sig.p, sig.q], "Det": _scalar_json(det)}
-    _emit(payload, args.fmt, [f"Det = {det}"])
+    _emit(payload, args.fmt, [f"Det = {_scalar_str(det)}"])
     return EXIT_OK
 
 
@@ -212,7 +212,8 @@ def _cmd_charpoly(args):
         "coeffs": [_scalar_json(c) for c in data.coeffs],
     }
     lines = [
-        f"b_{k} = {c}" for k, c in enumerate(data.coeffs, start=1)
+        f"b_{k} = {_scalar_str(c)}"
+        for k, c in enumerate(data.coeffs, start=1)
     ]
     if getattr(args, "generalized", False):
         if sig.dim % 2 == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import FLOAT64, RATIONAL, Multivector, _grades
@@ -150,15 +151,32 @@ def _float_str(x):
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def _int_str(value):
+    try:
+        return str(value)
+    except ValueError:
+        # Beyond sys.get_int_max_str_digits(), which limits str() but not
+        # the exact conversion through Decimal.
+        return str(Decimal(value))
+
+
+def _scalar_str(value):
+    """str(value) for an int, Fraction or float, with no limit on the
+    number of digits."""
+    if isinstance(value, float):
+        return str(value)
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _int_str(int(value))
+
+
 def _coef_str(value, decimal):
     if decimal or isinstance(value, float):
         try:
             return _float_str(float(value))
         except OverflowError:
             pass  # a rational beyond the f64 range keeps its exact form
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+    return _scalar_str(value)
 
 
 def format_multivector(u, decimal=False):

@@ -4,7 +4,12 @@ Closed forms exist for n = 1..5; arbitrary n is handled by assembling
 D = phi_B(A) (the characteristic polynomial of B evaluated at A) and a
 matching right-hand combination F, so that D X = F, then inverting D by
 its own characteristic-polynomial recursion.  For odd n a half-length
-variant builds D and F from the N/2 generalized central coefficients.
+variant builds D and F the same way from the N/2 generalized central
+coefficients; both read the differences B_(k) - c_(k) the recursion
+formed.  One table states the n each method accepts and the degree of
+its D; the default is the first method accepting n.  At odd n the full
+phi_B(A) can vanish on a problem that is not singular, so a zero Q from
+general is retried with general_odd.
 
 In the rational ring every solve runs on integers.  On entry the
 denominators are cleared once: with L the lcm of all coefficient
@@ -24,11 +29,13 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
+    MAX_DIM,
     RATIONAL,
     Multivector,
     _coerce,
     _require_finite,
     conjugate,
+    natural,
     sharp,
 )
 from .charpoly import (
@@ -51,26 +58,6 @@ CLOSED_N4_V2 = "closed_n4_v2"
 CLOSED_N5 = "closed_n5"
 GENERAL = "general"
 GENERAL_ODD = "general_odd"
-
-METHODS = (
-    CLOSED_N1,
-    CLOSED_N2,
-    CLOSED_N3,
-    CLOSED_N4_V1,
-    CLOSED_N4_V2,
-    CLOSED_N5,
-    GENERAL,
-    GENERAL_ODD,
-)
-
-_CLOSED_FOR_DIM = {
-    1: CLOSED_N1,
-    2: CLOSED_N2,
-    3: CLOSED_N3,
-    4: CLOSED_N4_V2,
-    5: CLOSED_N5,
-}
-
 
 @dataclass(frozen=True)
 class SylvesterProblem:
@@ -116,78 +103,72 @@ def _powers(a, top):
     return pw
 
 
+def _assemble_d(pw, coeffs):
+    """D = A**L - c_(1) A**(L-1) - ... - c_(L) for the L coefficients of
+    a recursion on B; a scalar c_(k) scales, a central one multiplies."""
+    length = len(coeffs)
+    d = pw[length]
+    for j, cj in enumerate(coeffs, start=1):
+        d = d - pw[length - j] * cj
+    return d
+
+
+def _assemble_f(pw, c, differences):
+    """F = A**(L-1) C + sum_j A**(L-j) C (B_(j-1) - c_(j-1)), j = 2..L."""
+    length = len(differences) + 1
+    f = pw[length - 1] * c
+    for j, diff in enumerate(differences, start=2):
+        f = f + pw[length - j] * c * diff
+    return f
+
+
 def build_D_general(a, b):
     """D = A**N - b_(1) A**(N-1) - ... - b_(N) with the b_(k) taken from
     the characteristic polynomial of b."""
     data = char_poly(b)
-    big_n = data.degree
-    pw = _powers(a, big_n)
-    return _assemble_d(pw, data.coeffs, a)
-
-
-def _assemble_d(pw, coeffs, a):
-    big_n = len(coeffs)
-    d = pw[big_n]
-    for j, bj in enumerate(coeffs, start=1):
-        if isinstance(bj, Multivector):
-            d = d - pw[big_n - j] * bj
-        else:
-            d = d - pw[big_n - j].scale(bj)
-    return d
+    return _assemble_d(_powers(a, data.degree), data.coeffs)
 
 
 def build_F_general(a, b, c):
     """F = sum_j A**(N-j) C (B_(j-1) - b_(j-1)); the j = 1 term is
     A**(N-1) C."""
     data = char_poly(b)
-    pw = _powers(a, data.degree)
-    return _assemble_f(pw, data.iterates, data.coeffs, c)
-
-
-def _assemble_f(pw, iterates, coeffs, c):
-    big_n = len(coeffs)
-    sig = c.sig
-    f = pw[big_n - 1] * c
-    for j in range(2, big_n + 1):
-        prev_it = iterates[j - 2]
-        prev_co = coeffs[j - 2]
-        if isinstance(prev_co, Multivector):
-            factor = prev_it - prev_co
-        else:
-            factor = prev_it - Multivector.scalar(sig, prev_co, c.ring)
-        f = f + pw[big_n - j] * c * factor
-    return f
+    return _assemble_f(_powers(a, data.degree - 1), c, data.differences)
 
 
 def _recursion(work, method, tol):
-    """D, F, the adjugate-like factor, Q and the degree of D for the
-    recursions: all N coefficients of B (general) or the N/2 central
-    ones (general_odd)."""
+    """D, F, the adjugate-like factor and Q for the recursions: all N
+    coefficients of B (general) or the N/2 central ones (general_odd)."""
     if method == GENERAL:
         data = char_poly(work.b, tol)
     else:
         data = generalized_coeffs(work.b)
-    degree = len(data.coeffs)
-    pw = _powers(work.a, degree)
-    d = _assemble_d(pw, data.coeffs, work.a)
-    f = _assemble_f(pw, data.iterates, data.coeffs, work.c)
+    pw = _powers(work.a, len(data.coeffs))
+    d = _assemble_d(pw, data.coeffs)
+    f = _assemble_f(pw, work.c, data.differences)
     inv = char_poly(d, tol)
-    adj_like = inv.iterates[-2] - Multivector.scalar(
-        d.sig, inv.coeffs[-2], d.ring
-    )
-    return d, f, adj_like, inv.coeffs[-1], degree
+    return d, f, inv.differences[-1], inv.coeffs[-1]
 
 
 def solve_general(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
-    """Recursive solver valid for any n."""
-    return _solve(prob, GENERAL, _recursion, tol, res_tol)
+    """Recursive solver valid for any n.
+
+    At odd n, phi_B(A) can vanish across the two central blocks of the
+    algebra on a problem that is not singular.  A zero Q there is
+    retried through the central recursion, and the answer reports
+    general_odd, whose Q, D and F it carries.
+    """
+    try:
+        return _solve(prob, GENERAL, _recursion, tol, res_tol)
+    except SingularProblemError:
+        if prob.sig.dim % 2 == 0:
+            raise
+    return solve_general_odd(prob, tol, res_tol)
 
 
 def solve_general_odd(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
     """Half-length variant for odd n: D and F come from the N/2
     generalized central coefficients of B."""
-    if prob.sig.dim % 2 == 0:
-        raise ValueError("the odd-n solver requires odd n")
     return _solve(prob, GENERAL_ODD, _recursion, tol, res_tol)
 
 
@@ -206,7 +187,7 @@ def _quartic_d_f(a, b, c, use_sharp):
         t1 = b.tilde().hat()
         t2 = conjugate(b.hat(), "triangle")
         t3 = conjugate(b.tilde(), "triangle")
-        top = conjugate(b.hat() * b.tilde(), "triangle")
+        top = natural(b)
     pw = _powers(a, 4)
     comb1 = b + t1 + t2 + t3
     comb2 = b * t1 + b * t2 + b * t3 + t1 * t2 + t1 * t3 + top
@@ -228,21 +209,13 @@ def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_T
 
 
 def _closed_form(work, variant, tol):
-    """D, F, Adj(D), Q and the degree of D for a closed form."""
-    n = work.sig.dim
+    """D, F, Adj(D) and Q for a closed form."""
     a, b, c = work.a, work.b, work.c
-
     if variant == CLOSED_N1:
-        if n != 1:
-            raise ValueError(f"{variant} requires n = 1, got n = {n}")
         d = a - b
         adj = d.hat()
-        q = _as_scalar(d * adj, d, tol)
         rhs = c
-        degree = 1
     elif variant in (CLOSED_N2, CLOSED_N3):
-        if n != (2 if variant == CLOSED_N2 else 3):
-            raise ValueError(f"{variant} does not match n = {n}")
         bth = b.tilde().hat()
         d = a * a - (b + bth) * a + b * bth
         dth = d.tilde().hat()
@@ -250,29 +223,42 @@ def _closed_form(work, variant, tol):
             adj = dth
         else:
             adj = d.hat() * d.tilde() * dth
-        q = _as_scalar(d * adj, d, tol)
         rhs = a * c - c * bth
-        degree = 2
     elif variant in (CLOSED_N4_V1, CLOSED_N4_V2, CLOSED_N5):
-        if variant == CLOSED_N5:
-            if n != 5:
-                raise ValueError(f"{variant} requires n = 5, got n = {n}")
-        elif n != 4:
-            raise ValueError(f"{variant} requires n = 4, got n = {n}")
-        use_sharp = variant != CLOSED_N4_V1
-        d, rhs = _quartic_d_f(a, b, c, use_sharp)
+        d, rhs = _quartic_d_f(a, b, c, variant != CLOSED_N4_V1)
         if variant == CLOSED_N4_V1:
-            adj = d.tilde().hat() * conjugate(d.hat() * d.tilde(), "triangle")
+            adj = d.tilde().hat() * natural(d)
         elif variant == CLOSED_N4_V2:
             adj = d.tilde() * sharp(d)
         else:
             core = d * d.tilde() * sharp(d)
             adj = d.tilde() * sharp(d) * core.triangle()
-        q = _as_scalar(d * adj, d, tol)
-        degree = 4
     else:
-        raise ValueError(f"unknown closed-form variant {variant!r}")
-    return d, rhs, adj, q, degree
+        raise ValueError(f"{variant!r} is not a closed-form variant")
+    return d, rhs, adj, _as_scalar(d * adj, d, tol)
+
+
+# Each method: the n it accepts, and the degree of its D and F in
+# (A, B) as N divided by this number (Q has N times that degree).  At
+# odd n every method but general has the half-length degree N/2 of the
+# central recursion.  solve defaults to the first method accepting n.
+_METHOD_TABLE = {
+    CLOSED_N1: ((1,), 2),
+    CLOSED_N2: ((2,), 1),
+    CLOSED_N3: ((3,), 2),
+    CLOSED_N4_V2: ((4,), 1),
+    CLOSED_N4_V1: ((4,), 1),
+    CLOSED_N5: ((5,), 2),
+    GENERAL_ODD: (range(1, MAX_DIM + 1, 2), 2),
+    GENERAL: (range(1, MAX_DIM + 1), 1),
+}
+
+METHODS = tuple(_METHOD_TABLE)
+
+
+def _methods_for(n):
+    """The methods that accept n, the default first."""
+    return [m for m, (dims, _) in _METHOD_TABLE.items() if n in dims]
 
 
 def _clear_denominators(prob):
@@ -317,19 +303,24 @@ def _verified_x(prob, work, m, q, method, res_tol):
 
 
 def _solve(prob, method, core, tol, res_tol):
-    """Entry and exit shared by every solver: clear denominators, run
-    core(work, method, tol) -> (D, F, Adj, Q, degree of D) on the
-    integer problem, check and divide once, report Q, D and F
-    unscaled."""
+    """Entry and exit shared by every solver: check that the method
+    accepts n, clear denominators, run core(work, method, tol) ->
+    (D, F, Adj, Q) on the integer problem, check and divide once, report
+    Q, D and F unscaled."""
+    if method not in _METHOD_TABLE:
+        raise ValueError(f"unknown method {method!r}")
+    dims, divisor = _METHOD_TABLE[method]
+    if prob.sig.dim not in dims:
+        raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
     scale, work = _clear_denominators(prob)
-    d, f, adj, q, degree = core(work, method, tol)
+    d, f, adj, q = core(work, method, tol)
+    d_scale = scale ** (prob.sig.charpoly_degree // divisor)
     if is_zero_scalar(q, d, tol):
-        raise SingularProblemError(q, d / scale ** degree)
+        raise SingularProblemError(q, d / d_scale)
     x, residual, low_confidence = _verified_x(
         prob, work, adj * f, q, method, res_tol
     )
     if scale != 1:
-        d_scale = scale ** degree
         d = d / d_scale
         f = f / d_scale
         q = _coerce(Fraction(q, d_scale ** prob.sig.charpoly_degree), RATIONAL)
@@ -337,22 +328,18 @@ def _solve(prob, method, core, tol, res_tol):
 
 
 def solve(prob, method=None, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
-    """Solve AX - XB = C, picking the default method for the dimension:
-    closed forms for n <= 5 (n = 4 defaults to the tilde/sharp variant),
-    the odd-n recursion for odd n >= 7, the general recursion otherwise.
+    """Solve AX - XB = C, by default with the first method of the table
+    that accepts n: closed forms for n <= 5 (n = 4 defaults to the
+    tilde/sharp variant), the odd-n recursion for odd n >= 7, the
+    general recursion otherwise.
     """
-    n = prob.sig.dim
     if method is None:
-        method = _CLOSED_FOR_DIM.get(n)
-        if method is None:
-            method = GENERAL_ODD if n % 2 else GENERAL
+        method = _methods_for(prob.sig.dim)[0]
     if method == GENERAL:
         return solve_general(prob, tol, res_tol)
     if method == GENERAL_ODD:
         return solve_general_odd(prob, tol, res_tol)
-    if method in _CLOSED_FOR_DIM.values() or method in (CLOSED_N4_V1,):
-        return solve_closed(prob, method, tol, res_tol)
-    raise ValueError(f"unknown method {method!r}")
+    return solve_closed(prob, method, tol, res_tol)
 
 
 def reduce_two_term(k, l, m, nq, p, tol=DEFAULT_ZERO_TOL):

@@ -29,7 +29,7 @@ from gasylv import (
     scalar_via_conjugations,
     solve,
 )
-from gasylv.sylvester import _CLOSED_FOR_DIM, CLOSED_N4_V1
+from gasylv.sylvester import _methods_for
 from conftest import all_signatures, random_mv, random_sparse_mv
 from oracles import brute_force_sylvester
 
@@ -100,14 +100,7 @@ def test_criterion_4_method_agreement():
     applicable method that accepts the problem returns the same X."""
     rng = random.Random(302)
     for sig in all_signatures(6):
-        n = sig.dim
-        methods = ["general"]
-        if n % 2:
-            methods.append("general_odd")
-        if n in _CLOSED_FOR_DIM:
-            methods.append(_CLOSED_FOR_DIM[n])
-        if n == 4:
-            methods.append(CLOSED_N4_V1)
+        methods = _methods_for(sig.dim)
         done = 0
         while done < 50:
             a = random_mv(sig, rng, -3, 3)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -241,6 +243,40 @@ class TestOtherCommands:
             "--generalized",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_answers_beyond_the_int_str_digit_limit(self, capsys, fmt):
+        # Det, b_2 and Q are s**2, 4 400 digits: more than str() of an
+        # int gives by default.  The exact value is printed, and the
+        # interpreter's own limit is left as it was.
+        sevens = "7" * 2200
+        s = int(sevens)
+        limit = sys.get_int_max_str_digits()
+        common = ["--signature", "1,0", "--format", fmt]
+
+        def values(*argv):
+            code, out, err = run(capsys, *argv, *common)
+            assert (code, err) == (0, "")
+            if fmt == "json":
+                return json.loads(out)
+            return dict(
+                line.split(" = ", 1)
+                for line in out.splitlines() if " = " in line
+            )
+
+        assert Decimal(values("det", "--b", sevens)["Det"]) == s * s
+        got = values("charpoly", "--b", sevens)
+        coeffs = got["coeffs"] if fmt == "json" else [got["b_1"], got["b_2"]]
+        assert [Decimal(c) for c in coeffs] == [2 * s, -s * s]
+        got = values("solve", "--a", sevens, "--b", "0", "--c", "1")
+        assert Decimal(got["Q"]) == s * s
+        if fmt == "json":
+            x = got["X"]
+            assert Decimal(x["numerator"]) == s
+            assert Decimal(x["denominator"]) == s * s
+        else:
+            assert got["X"] == f"(1/{got['Q']})({sevens})"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_bench(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "1,2", "--format", "json")

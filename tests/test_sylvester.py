@@ -13,10 +13,12 @@ from gasylv import (
     ResidualCheckFailedError,
     Signature,
     SignatureMismatchError,
+    SingularElementError,
     SingularProblemError,
     SylvesterProblem,
     adjugate,
     determinant,
+    inverse,
     load_coeff_lines,
     parse_multivector,
     build_D_general,
@@ -29,7 +31,7 @@ from gasylv import (
     verify_residual,
 )
 from gasylv import sylvester
-from gasylv.sylvester import _CLOSED_FOR_DIM, CLOSED_N4_V1, CLOSED_N4_V2
+from gasylv.sylvester import _methods_for
 from conftest import all_signatures, random_mv
 from oracles import brute_force_sylvester
 
@@ -131,14 +133,7 @@ class TestSolveBasics:
 class TestMethodAgreement:
     def test_all_applicable_methods_agree(self, rng):
         for sig in all_signatures(6):
-            n = sig.dim
-            methods = [m for m in ("general",) ]
-            if n % 2:
-                methods.append("general_odd")
-            if n in _CLOSED_FOR_DIM:
-                methods.append(_CLOSED_FOR_DIM[n])
-            if n == 4:
-                methods.append(CLOSED_N4_V1)
+            methods = _methods_for(sig.dim)
             for _ in range(3):
                 prob = solvable_problem(sig, rng, -3, 3)
                 xs = {}
@@ -160,6 +155,50 @@ class TestMethodAgreement:
                 oracle = brute_force_sylvester(prob)
                 assert oracle is not None
                 assert solve(prob).x == oracle
+
+
+class TestSingularVerdicts:
+    def test_general_odd_fallback_on_a_false_singular_d(self):
+        # Cl(1,0) is R + R; A = e1 is (1, -1) and B = -e1 is (-1, 1), so
+        # phi_B(A) = (A - 1)(A + 1) vanishes although A - B = 2e1 is
+        # invertible.  The central recursion solves it.
+        sig = Signature(1, 0)
+        a = parse_multivector("e1", sig, RATIONAL)
+        prob = SylvesterProblem(a, -a, Multivector.scalar(sig, 1))
+        sol = solve(prob, method="general")
+        assert sol.method == "general_odd"
+        assert sol.x == parse_multivector("1/2e1", sig, RATIONAL)
+        odd = solve(prob, method="general_odd")
+        assert (sol.q, sol.d, sol.f) == (odd.q, odd.d, odd.f)
+
+    def test_every_method_agrees_with_the_oracle(self, rng):
+        # A verdict of "singular" must not depend on the method: for each
+        # problem, every method that accepts n is singular exactly when
+        # Gaussian elimination finds no unique solution.  B = A and
+        # B = gAg^-1 are singular; B = gAg^-1 + 1 is near them.
+        for sig in all_signatures(4):
+            problems = []
+            for _ in range(24):
+                a, b, c = (random_mv(sig, rng, -2, 2) for _ in range(3))
+                problems.append(SylvesterProblem(a, b, c))
+            for _ in range(2):
+                a, g, c = (random_mv(sig, rng, -2, 2) for _ in range(3))
+                try:
+                    g_inv = inverse(g)
+                except SingularElementError:
+                    continue
+                conj = g * a * g_inv
+                one = Multivector.scalar(sig, 1)
+                for b in (a, conj, conj + one):
+                    problems.append(SylvesterProblem(a, b, c))
+            for prob in problems:
+                oracle = brute_force_sylvester(prob)
+                for method in _methods_for(sig.dim):
+                    try:
+                        x = solve(prob, method=method).x
+                    except SingularProblemError:
+                        x = None
+                    assert x == oracle, (sig, method, prob)
 
 
 class TestGeneralAssembly:
@@ -260,16 +299,6 @@ def _d_degree(method, n):
 
 
 class TestIntegerCore:
-    def _methods(self, n):
-        methods = ["general"]
-        if n % 2:
-            methods.append("general_odd")
-        if n in _CLOSED_FOR_DIM:
-            methods.append(_CLOSED_FOR_DIM[n])
-        if n == 4:
-            methods.append(CLOSED_N4_V1)
-        return methods
-
     def test_reported_values_are_those_of_the_given_problem(self, rng):
         # Dividing an integer problem by L gives the same X, D and F
         # divided by L**d and Q divided by L**(d N): the values of the
@@ -281,13 +310,14 @@ class TestIntegerCore:
             frac = SylvesterProblem(
                 prob.a / big_l, prob.b / big_l, prob.c / big_l
             )
-            for method in self._methods(n):
+            for method in _methods_for(n):
                 try:
                     whole = solve(prob, method=method)
                 except SingularProblemError:
                     continue
                 part = solve(frac, method=method)
-                scale = Fraction(big_l) ** _d_degree(method, n)
+                scale = Fraction(big_l) ** _d_degree(whole.method, n)
+                assert part.method == whole.method, (sig, method)
                 assert part.x == whole.x, (sig, method)
                 assert part.d == whole.d / scale, (sig, method)
                 assert part.f == whole.f / scale, (sig, method)
@@ -300,7 +330,7 @@ class TestIntegerCore:
         b = parse_multivector("-3/4 + 1/5e12", sig, RATIONAL)
         c = parse_multivector("1/7e3 - 2", sig, RATIONAL)
         prob = SylvesterProblem(a, b, c)
-        for method in self._methods(sig.dim):
+        for method in _methods_for(sig.dim):
             x = solve(prob, method=method).x
             assert a * x - x * b == c
             assert x == brute_force_sylvester(prob)
@@ -318,7 +348,7 @@ class TestIntegerCore:
 
         monkeypatch.setattr(sylvester, "_verified_x", corrupted)
         for p in (prob, frac):
-            for method in self._methods(4):
+            for method in _methods_for(4):
                 with pytest.raises(ResidualCheckFailedError):
                     solve(p, method=method)
 
