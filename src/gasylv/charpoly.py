@@ -7,7 +7,8 @@ run with two projections P: L = N = 2**ceil(n/2) steps of the scalar
 part give the characteristic polynomial (c_(k) = b_(k)), and for odd n
 L = N/2 steps of the center projection give the generalized central
 coefficients that halve the recursion.  Closed-form determinant
-expressions for n <= 5 serve as cross-check oracles.
+expressions for n <= 5 serve as cross-check oracles; the closed
+adjugates they multiply are also those of the closed-form solvers.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .errors import (
     SingularElementError,
 )
 
-DEFAULT_ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9
 
 
-def _within_det_scale(value, b, tol):
-    """abs(value) <= tol * (1 + max|b|**N), the zero test for
+def _within_det_scale(value, b):
+    """abs(value) <= ZERO_TOL * (1 + max|b|**N), the zero test for
     determinant-sized quantities, which scale like the N-th power of the
     coefficient size.  The power is split with frexp, and compared in
     log space where it would overflow a float."""
@@ -44,11 +45,11 @@ def _within_det_scale(value, b, tol):
     mant **= big_n
     exp *= big_n
     if exp < 1000:
-        return value <= tol * (1.0 + math.ldexp(mant, exp))
+        return value <= ZERO_TOL * (1.0 + math.ldexp(mant, exp))
     # The threshold exceeds 2**(1000 - N): the 1 is far below its ulp.
     if not 0 < value < math.inf:
         return value == 0
-    return math.log2(value) <= math.log2(tol) + math.log2(mant) + exp
+    return math.log2(value) <= math.log2(ZERO_TOL) + math.log2(mant) + exp
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,19 @@ def _central_coeff(u, ratio):
     return center_project(u).scale(ratio)
 
 
-def char_poly(b, tol=DEFAULT_ZERO_TOL):
+def char_poly(b):
     """Run the full N-step recursion on b.
 
     For exact scalars the final iterate is checked to be a pure scalar
-    (a consequence of Cayley-Hamilton); for floats a residue above
-    tolerance raises NumericalDegradationError.
+    (a consequence of Cayley-Hamilton); for floats a residue that fails
+    the zero test raises NumericalDegradationError.
     """
     _require_finite(b)
     iterates, coeffs, differences = _faddeev_leverrier(
         b, b.sig.charpoly_degree, _scalar_coeff
     )
     coeffs = tuple(c.scalar_part() for c in coeffs)
-    _as_scalar(iterates[-1], b, tol)
+    _as_scalar(iterates[-1], b)
     if b.ring != RATIONAL and not all(map(math.isfinite, coeffs)):
         raise NumericalDegradationError(
             "a characteristic-polynomial coefficient overflows"
@@ -134,27 +135,27 @@ def char_poly(b, tol=DEFAULT_ZERO_TOL):
     return CharPolyData(b.sig, iterates, coeffs, differences)
 
 
-def determinant(b, tol=DEFAULT_ZERO_TOL):
-    return char_poly(b, tol).determinant()
+def determinant(b):
+    return char_poly(b).determinant()
 
 
-def adjugate(b, tol=DEFAULT_ZERO_TOL):
+def adjugate(b):
     """Adj(B) = b_(N-1) - B_(N-1); satisfies B Adj(B) = Det(B) e."""
-    return char_poly(b, tol).adjugate()
+    return char_poly(b).adjugate()
 
 
-def is_zero_scalar(value, b, tol=DEFAULT_ZERO_TOL):
+def is_zero_scalar(value, b):
     """Ring-aware zero test for a determinant-sized scalar derived
     from the element b."""
     if b.ring == RATIONAL:
         return value == 0
-    return _within_det_scale(value, b, tol)
+    return _within_det_scale(value, b)
 
 
-def inverse(b, tol=DEFAULT_ZERO_TOL):
-    data = char_poly(b, tol)
+def inverse(b):
+    data = char_poly(b)
     det = data.determinant()
-    if is_zero_scalar(det, b, tol):
+    if is_zero_scalar(det, b):
         raise SingularElementError(f"element has determinant {det}")
     return data.adjugate() / det
 
@@ -175,35 +176,40 @@ def generalized_coeffs(b):
     )
 
 
-def _as_scalar(u, reference, tol):
+def _as_scalar(u, reference):
     residue = u.nonscalar_norm()
     if u.ring == RATIONAL:
         if residue != 0:
             raise InternalError("expected a pure scalar result")
-    elif not _within_det_scale(residue, reference, tol):
+    elif not _within_det_scale(residue, reference):
         raise NumericalDegradationError(
             f"non-scalar residue {residue} in a determinant expression"
         )
     return u.scalar_part()
 
 
-def closed_form_det(b, tol=DEFAULT_ZERO_TOL):
+def _closed_adjugate(b):
+    """Per-dimension closed adjugate, n <= 5: b * _closed_adjugate(b)
+    is the scalar Det(b)."""
+    n = b.sig.dim
+    if n == 1:
+        return b.hat()
+    if n == 2:
+        return b.tilde().hat()
+    if n == 3:
+        bt = b.tilde()
+        return b.hat() * bt * bt.hat()
+    if n == 4:
+        return b.tilde().hat() * natural(b)
+    if n == 5:
+        core = b * b.tilde() * sharp(b)
+        return b.tilde() * sharp(b) * core.triangle()
+    raise ValueError(f"no closed determinant form for n = {n}")
+
+
+def closed_form_det(b):
     """Per-dimension closed determinant forms, n <= 5.
 
     Cross-check oracle for determinant(); not used by the solvers.
     """
-    n = b.sig.dim
-    if n == 1:
-        prod = b * b.hat()
-    elif n == 2:
-        prod = b * b.tilde().hat()
-    elif n == 3:
-        prod = b * b.hat() * b.tilde() * b.tilde().hat()
-    elif n == 4:
-        prod = b * b.tilde().hat() * natural(b)
-    elif n == 5:
-        core = b * b.tilde() * sharp(b)
-        prod = core * core.triangle()
-    else:
-        raise ValueError(f"no closed determinant form for n = {n}")
-    return _as_scalar(prod, b, tol)
+    return _as_scalar(b * _closed_adjugate(b), b)

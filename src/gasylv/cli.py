@@ -3,16 +3,15 @@
 Exit codes: 0 success, 1 usage or parse error (non-finite values
 included), 2 singular problem or element, 3 internal consistency failure
 or float-mode numerical failure (residue above tolerance, overflow).
-Flags take precedence over the environment (GASYLV_SCALAR, GASYLV_TOL),
-which beats the defaults.
+The scalar ring is set by --scalar alone (default rational); the float
+tolerances are fixed.  A literal that starts with '-' is passed in the
+--c=-e1 form.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import random
 import sys
 import time
@@ -53,19 +52,11 @@ def _add_common(sub):
         help="algebra signature, e.g. 1,3",
     )
     sub.add_argument(
-        "--scalar", choices=[RATIONAL, FLOAT64], default=None,
-        help="scalar ring (default: GASYLV_SCALAR or rational)",
+        "--scalar", choices=[RATIONAL, FLOAT64], default=RATIONAL,
+        help="scalar ring (default: rational)",
     )
     sub.add_argument(
         "--format", choices=["text", "json"], default="text", dest="fmt",
-    )
-    sub.add_argument(
-        "--tol", type=float, default=None,
-        help="zero-test tolerance (default: GASYLV_TOL or 1e-9)",
-    )
-    sub.add_argument(
-        "--res-tol", type=float, default=None,
-        help="float-mode residual acceptance tolerance (default 1e-8)",
     )
 
 
@@ -107,23 +98,12 @@ def build_parser():
     return parser
 
 
-def _resolve_config(args):
-    ring = args.scalar or os.environ.get("GASYLV_SCALAR") or RATIONAL
-    if ring not in (RATIONAL, FLOAT64):
-        raise ValueError(f"GASYLV_SCALAR must be rational or f64, got {ring!r}")
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("GASYLV_TOL")
-        tol = float(env) if env else cp.DEFAULT_ZERO_TOL
-    res_tol = args.res_tol if args.res_tol is not None else sylv.DEFAULT_RESIDUAL_TOL
-    if not (0 < tol < math.inf and 0 < res_tol < math.inf):
-        raise ValueError("tolerances must be positive and finite")
+def _signature(args):
     try:
         p_text, q_text = args.signature.split(",")
-        sig = Signature(int(p_text), int(q_text))
+        return Signature(int(p_text), int(q_text))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad --signature {args.signature!r}: {exc}") from exc
-    return sig, ring, tol, res_tol
 
 
 def _scalar_json(value):
@@ -141,18 +121,18 @@ def _emit(payload, fmt, text_lines):
 
 
 def _cmd_solve(args):
-    sig, ring, tol, res_tol = _resolve_config(args)
+    sig, ring = _signature(args), args.scalar
     a = parse_multivector(args.a, sig, ring)
     b = parse_multivector(args.b, sig, ring)
     c = parse_multivector(args.c, sig, ring)
-    sol = sylv.solve(
-        sylv.SylvesterProblem(a, b, c), method=args.method,
-        tol=tol, res_tol=res_tol,
-    )
+    sol = sylv.solve(sylv.SylvesterProblem(a, b, c), method=args.method)
     decimal = args.decimal or ring == FLOAT64
     if ring == RATIONAL and not args.decimal:
-        numerator = format_multivector(sol.x.scale(sol.q))
-        denominator = _scalar_str(sol.q)
+        # X = (1/den)(X * den) with den the integer numerator of Q, so
+        # the text reads left to right also when Q is a fraction.
+        den = sol.q.numerator
+        numerator = format_multivector(sol.x.scale(den))
+        denominator = _scalar_str(den)
         x_text = f"(1/{denominator})({numerator})"
     else:
         numerator = format_multivector(sol.x, decimal=True)
@@ -184,19 +164,19 @@ def _cmd_solve(args):
 
 
 def _cmd_det(args):
-    sig, ring, tol, _ = _resolve_config(args)
-    b = parse_multivector(args.b, sig, ring)
-    det = cp.determinant(b, tol)
+    sig = _signature(args)
+    b = parse_multivector(args.b, sig, args.scalar)
+    det = cp.determinant(b)
     payload = {"signature": [sig.p, sig.q], "Det": _scalar_json(det)}
     _emit(payload, args.fmt, [f"Det = {_scalar_str(det)}"])
     return EXIT_OK
 
 
 def _cmd_inverse(args):
-    sig, ring, tol, _ = _resolve_config(args)
+    sig, ring = _signature(args), args.scalar
     b = parse_multivector(args.b, sig, ring)
-    inv = cp.inverse(b, tol)
-    decimal = getattr(args, "decimal", False) or ring == FLOAT64
+    inv = cp.inverse(b)
+    decimal = args.decimal or ring == FLOAT64
     text = format_multivector(inv, decimal=decimal)
     payload = {"signature": [sig.p, sig.q], "inverse": text}
     _emit(payload, args.fmt, [f"inverse = {text}"])
@@ -204,9 +184,9 @@ def _cmd_inverse(args):
 
 
 def _cmd_charpoly(args):
-    sig, ring, tol, _ = _resolve_config(args)
-    b = parse_multivector(args.b, sig, ring)
-    data = cp.char_poly(b, tol)
+    sig = _signature(args)
+    b = parse_multivector(args.b, sig, args.scalar)
+    data = cp.char_poly(b)
     payload = {
         "signature": [sig.p, sig.q],
         "coeffs": [_scalar_json(c) for c in data.coeffs],
@@ -215,9 +195,7 @@ def _cmd_charpoly(args):
         f"b_{k} = {_scalar_str(c)}"
         for k, c in enumerate(data.coeffs, start=1)
     ]
-    if getattr(args, "generalized", False):
-        if sig.dim % 2 == 0:
-            raise ValueError("--generalized requires odd n")
+    if args.generalized:
         gen = cp.generalized_coeffs(b)
         payload["generalized"] = [format_multivector(c) for c in gen.coeffs]
         lines += [
@@ -287,12 +265,11 @@ def main(argv=None):
             parser.error("an option value is missing")
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = getattr(args, "fmt", "text")
     try:
         return _COMMANDS[args.command](args)
     except tuple(exc for exc, _ in _ERROR_CODES) as exc:
         code = next(c for cls, c in _ERROR_CODES if isinstance(exc, cls))
-        if fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({
                 "error": {
                     "type": type(exc).__name__,

@@ -20,6 +20,9 @@ X = M / Q' is the one division.  Q, D and F are reported unscaled, as
 for the problem given: D and F are homogeneous of a degree d in (A, B)
 that each method fixes, and Q of degree dN, so D = D'/L**d, F = F'/L**d
 and Q = Q'/L**(dN).
+
+A float answer is flagged low_confidence when its residual is not within
+RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max norm.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .algebra import (
     sharp,
 )
 from .charpoly import (
-    DEFAULT_ZERO_TOL,
     _as_scalar,
+    _closed_adjugate,
     char_poly,
     generalized_coeffs,
     inverse,
@@ -48,7 +51,7 @@ from .charpoly import (
 )
 from .errors import ResidualCheckFailedError, SingularProblemError
 
-DEFAULT_RESIDUAL_TOL = 1e-8
+RESIDUAL_TOL = 1e-8
 
 CLOSED_N1 = "closed_n1"
 CLOSED_N2 = "closed_n2"
@@ -136,21 +139,21 @@ def build_F_general(a, b, c):
     return _assemble_f(_powers(a, data.degree - 1), c, data.differences)
 
 
-def _recursion(work, method, tol):
+def _recursion(work, method):
     """D, F, the adjugate-like factor and Q for the recursions: all N
     coefficients of B (general) or the N/2 central ones (general_odd)."""
     if method == GENERAL:
-        data = char_poly(work.b, tol)
+        data = char_poly(work.b)
     else:
         data = generalized_coeffs(work.b)
     pw = _powers(work.a, len(data.coeffs))
     d = _assemble_d(pw, data.coeffs)
     f = _assemble_f(pw, work.c, data.differences)
-    inv = char_poly(d, tol)
+    inv = char_poly(d)
     return d, f, inv.differences[-1], inv.coeffs[-1]
 
 
-def solve_general(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
+def solve_general(prob):
     """Recursive solver valid for any n.
 
     At odd n, phi_B(A) can vanish across the two central blocks of the
@@ -159,17 +162,17 @@ def solve_general(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
     general_odd, whose Q, D and F it carries.
     """
     try:
-        return _solve(prob, GENERAL, _recursion, tol, res_tol)
+        return _solve(prob, GENERAL, _recursion)
     except SingularProblemError:
         if prob.sig.dim % 2 == 0:
             raise
-    return solve_general_odd(prob, tol, res_tol)
+    return solve_general_odd(prob)
 
 
-def solve_general_odd(prob, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
+def solve_general_odd(prob):
     """Half-length variant for odd n: D and F come from the N/2
     generalized central coefficients of B."""
-    return _solve(prob, GENERAL_ODD, _recursion, tol, res_tol)
+    return _solve(prob, GENERAL_ODD, _recursion)
 
 
 def _quartic_d_f(a, b, c, use_sharp):
@@ -203,39 +206,31 @@ def _quartic_d_f(a, b, c, use_sharp):
     return d, f
 
 
-def solve_closed(prob, variant, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
+def solve_closed(prob, variant):
     """Dispatch the per-dimension closed-form solutions."""
-    return _solve(prob, variant, _closed_form, tol, res_tol)
+    return _solve(prob, variant, _closed_form)
 
 
-def _closed_form(work, variant, tol):
-    """D, F, Adj(D) and Q for a closed form."""
+def _closed_form(work, variant):
+    """D, F, Adj(D) and Q for a closed form.  Every variant but
+    closed_n4_v2 inverts D by the closed adjugate of its dimension."""
     a, b, c = work.a, work.b, work.c
     if variant == CLOSED_N1:
         d = a - b
-        adj = d.hat()
         rhs = c
     elif variant in (CLOSED_N2, CLOSED_N3):
         bth = b.tilde().hat()
         d = a * a - (b + bth) * a + b * bth
-        dth = d.tilde().hat()
-        if variant == CLOSED_N2:
-            adj = dth
-        else:
-            adj = d.hat() * d.tilde() * dth
         rhs = a * c - c * bth
     elif variant in (CLOSED_N4_V1, CLOSED_N4_V2, CLOSED_N5):
         d, rhs = _quartic_d_f(a, b, c, variant != CLOSED_N4_V1)
-        if variant == CLOSED_N4_V1:
-            adj = d.tilde().hat() * natural(d)
-        elif variant == CLOSED_N4_V2:
-            adj = d.tilde() * sharp(d)
-        else:
-            core = d * d.tilde() * sharp(d)
-            adj = d.tilde() * sharp(d) * core.triangle()
     else:
         raise ValueError(f"{variant!r} is not a closed-form variant")
-    return d, rhs, adj, _as_scalar(d * adj, d, tol)
+    if variant == CLOSED_N4_V2:
+        adj = d.tilde() * sharp(d)
+    else:
+        adj = _closed_adjugate(d)
+    return d, rhs, adj, _as_scalar(d * adj, d)
 
 
 # Each method: the n it accepts, and the degree of its D and F in
@@ -276,7 +271,7 @@ def _clear_denominators(prob):
     )
 
 
-def _verified_x(prob, work, m, q, method, res_tol):
+def _verified_x(prob, work, m, q, method):
     """(X, residual, low_confidence) for X = M / Q, checked by
     substitution.  The rational ring checks A'M - MB' - Q'C' = 0 on the
     integer problem `work` before the one division; floats check the
@@ -294,7 +289,7 @@ def _verified_x(prob, work, m, q, method, res_tol):
     x = m / q
     residual = verify_residual(prob, x)
     norm_x = x.max_abs_coeff()
-    bound = res_tol * (
+    bound = RESIDUAL_TOL * (
         1.0
         + prob.a.max_abs_coeff() * norm_x
         + norm_x * prob.b.max_abs_coeff()
@@ -302,9 +297,9 @@ def _verified_x(prob, work, m, q, method, res_tol):
     return x, residual, not residual <= bound
 
 
-def _solve(prob, method, core, tol, res_tol):
+def _solve(prob, method, core):
     """Entry and exit shared by every solver: check that the method
-    accepts n, clear denominators, run core(work, method, tol) ->
+    accepts n, clear denominators, run core(work, method) ->
     (D, F, Adj, Q) on the integer problem, check and divide once, report
     Q, D and F unscaled."""
     if method not in _METHOD_TABLE:
@@ -313,13 +308,11 @@ def _solve(prob, method, core, tol, res_tol):
     if prob.sig.dim not in dims:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
     scale, work = _clear_denominators(prob)
-    d, f, adj, q = core(work, method, tol)
+    d, f, adj, q = core(work, method)
     d_scale = scale ** (prob.sig.charpoly_degree // divisor)
-    if is_zero_scalar(q, d, tol):
+    if is_zero_scalar(q, d):
         raise SingularProblemError(q, d / d_scale)
-    x, residual, low_confidence = _verified_x(
-        prob, work, adj * f, q, method, res_tol
-    )
+    x, residual, low_confidence = _verified_x(prob, work, adj * f, q, method)
     if scale != 1:
         d = d / d_scale
         f = f / d_scale
@@ -327,7 +320,7 @@ def _solve(prob, method, core, tol, res_tol):
     return SylvesterSolution(x, q, d, f, method, residual, low_confidence)
 
 
-def solve(prob, method=None, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL):
+def solve(prob, method=None):
     """Solve AX - XB = C, by default with the first method of the table
     that accepts n: closed forms for n <= 5 (n = 4 defaults to the
     tilde/sharp variant), the odd-n recursion for odd n >= 7, the
@@ -336,19 +329,19 @@ def solve(prob, method=None, tol=DEFAULT_ZERO_TOL, res_tol=DEFAULT_RESIDUAL_TOL)
     if method is None:
         method = _methods_for(prob.sig.dim)[0]
     if method == GENERAL:
-        return solve_general(prob, tol, res_tol)
+        return solve_general(prob)
     if method == GENERAL_ODD:
-        return solve_general_odd(prob, tol, res_tol)
-    return solve_closed(prob, method, tol, res_tol)
+        return solve_general_odd(prob)
+    return solve_closed(prob, method)
 
 
-def reduce_two_term(k, l, m, nq, p, tol=DEFAULT_ZERO_TOL):
+def reduce_two_term(k, l, m, nq, p):
     """Reduce K X L + M X Nq = P to a Sylvester problem:
     A = M**-1 K, B = -Nq L**-1, C = M**-1 P L**-1.
 
     Requires M and L invertible; any solution X of the reduced problem
     also solves the two-term equation.
     """
-    m_inv = inverse(m, tol)
-    l_inv = inverse(l, tol)
+    m_inv = inverse(m)
+    l_inv = inverse(l)
     return SylvesterProblem(m_inv * k, -(nq * l_inv), m_inv * p * l_inv)
