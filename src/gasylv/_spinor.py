@@ -1,0 +1,368 @@
+"""Exact spinor-matrix images of Cl(p,q): the kernel of dense recursions.
+
+The complex spinor representation maps Cl(p,q) faithfully into
+Gaussian-integer matrices, with N = 2**ceil(n/2): one N x N block at even
+n, two N/2 x N/2 blocks at odd n.  The generators are Jordan-Wigner Pauli
+strings on m = floor(n/2) qubits, times i where the generator squares
+to -1; at odd n one generator is Z...Z, with opposite signs in the two
+blocks, so that the pseudoscalar tells them apart.  Where the
+pseudoscalar squares to -1, Cl(p,q) is M(N/2, C) and the first block
+alone is faithful, so only it is kept.  Generators that square to +1
+take the real X-type strings (then Z...Z) first and those that square
+to -1 the Y-type ones, which keeps every image real when p = q or
+p = q + 1; other signatures carry imaginary parts.
+
+Every blade image is a signed monomial matrix, stored as its Pauli
+string: three ints (x, z, k).  Its entry in row r sits in column r ^ x
+and is i**k (-1)**popcount(r & z), so the tables are O(2**n).  A product
+costs O(N**3) here against up to 4**n pair products in the blade loop,
+and a conversion either way O(2**n N).
+
+SpinorMatrix offers what the Faddeev-LeVerrier recursion and the D and F
+assembly use of a Multivector: products, sums and scaling, the scalar
+part Re tr / N, the grade-0 and (odd n) grade-n projections from the
+block traces, and the scalar constructor.  A central element is kept as
+one Gaussian scalar per block, so a product with it is a blockwise
+scaling.  Blocks are flat row-major lists of real and imaginary parts,
+the imaginary list None where it is zero.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from operator import add, mul, sub
+
+from .algebra import RATIONAL, Multivector
+from .errors import InternalError
+
+# The matrices pay off from this n, and once nnz(A) nnz(B) reaches
+# MIN_PAIRS.  Measured on whole solves with a scalar plus k random
+# blades in A and B: at n = 6..8 the blade loop won up to 5x with
+# nnz = 5 or 7 and the matrices won 1.2-6.5x with nnz = 11.
+MIN_DIM = 6
+MIN_PAIRS = 64
+
+
+def pays_off(a, b):
+    """Whether the recursions of AX - XB = C run faster on the spinor
+    matrices of A and B than on their blades.  The blade loop skips zero
+    coefficients, and the recursions on sparse operands stay sparse, so
+    the matrices are used only for rational operands that are dense
+    enough."""
+    if a.ring != RATIONAL or a.sig.dim < MIN_DIM:
+        return False
+    nnz_a = len(a.coeffs) - a.coeffs.count(0)
+    nnz_b = len(b.coeffs) - b.coeffs.count(0)
+    return nnz_a * nnz_b >= MIN_PAIRS
+
+
+def _pauli_product(u, v):
+    """(x, z, k) of the product of two signed Pauli strings."""
+    return (
+        u[0] ^ v[0],
+        u[1] ^ v[1],
+        (u[2] + v[2] + 2 * (u[0] & v[1]).bit_count()) & 3,
+    )
+
+
+class _Representation:
+    """The tables of one signature: the blade images, the generator that
+    flips sign in the second block, and per column mask x and sign mask
+    z the flat positions and the row signs of a monomial matrix."""
+
+    def __init__(self, sig):
+        n, m = sig.dim, sig.dim // 2
+        s = 1 << m
+        x_type = [(1 << j, (1 << j) - 1, 0) for j in range(m)]
+        y_type = [(1 << j, (2 << j) - 1, 3) for j in range(m)]
+        z_all = [(0, s - 1, 0)] if n & 1 else []
+        preferred = (x_type + z_all + y_type, y_type + z_all + x_type)
+        generators = []
+        for a in range(n):
+            minus = a >= sig.p
+            x, z, k = next(
+                t for t in preferred[minus]
+                if t[:2] not in {g[:2] for g in generators}
+            )
+            generators.append((x, z, (k + minus) & 3))
+        blades = [(0, 0, 0)]
+        for mask in range(1, 1 << n):
+            top = mask.bit_length() - 1
+            blades.append(
+                _pauli_product(blades[mask ^ (1 << top)], generators[top])
+            )
+        # At odd n the pseudoscalar's image is i**k times the identity.
+        # When it squares to -1 (k odd), Cl(p,q) is M(N/2, C) and one
+        # block is already faithful: every Gaussian block is an image.
+        self.onto = bool(n & 1 and blades[-1][2] & 1)
+        self.sig = sig
+        self.size = s
+        self.count = 2 if n & 1 and not self.onto else 1
+        self.degree = s * self.count
+        self.blades = tuple(blades)
+        # Z...Z is the only string with x = 0; none is used at even n.
+        self.flip = sum(1 << a for a, g in enumerate(generators) if not g[0])
+        self.positions = tuple(
+            tuple(r * s + (r ^ x) for r in range(s)) for x in range(s)
+        )
+        self.signs = tuple(
+            tuple(-1 if (r & z).bit_count() & 1 else 1 for r in range(s))
+            for z in range(s)
+        )
+
+
+@lru_cache(maxsize=None)
+def _representation(sig):
+    return _Representation(sig)
+
+
+def _exact(value):
+    """A Fraction that is an integer as an int, so matrices stay on ints."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _quotient(num, den):
+    """num / den, as an int when it is one."""
+    q, r = divmod(num, den)
+    return q if not r else Fraction(num, den)
+
+
+def _matmul(a, b, s):
+    """Product of two flat s x s matrices."""
+    rows = [a[i:i + s] for i in range(0, s * s, s)]
+    cols = [b[j::s] for j in range(s)]
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
+
+
+def _block_product(u, v, s):
+    """(re, im) of the product of two Gaussian blocks, with Gauss's three
+    real products when both have imaginary parts."""
+    ur, ui = u
+    vr, vi = v
+    if ui is None:
+        return _matmul(ur, vr, s), None if vi is None else _matmul(ur, vi, s)
+    if vi is None:
+        return _matmul(ur, vr, s), _matmul(ui, vr, s)
+    rr = _matmul(ur, vr, s)
+    ii = _matmul(ui, vi, s)
+    mixed = _matmul(list(map(add, ur, ui)), list(map(add, vr, vi)), s)
+    return (
+        list(map(sub, rr, ii)),
+        [t - x - y for t, x, y in zip(mixed, rr, ii)],
+    )
+
+
+def _block_scaled(u, z):
+    """The Gaussian block u times the Gaussian scalar z."""
+    ur, ui = u
+    zr, zi = z
+    if not zi:
+        return [zr * t for t in ur], None if ui is None else [zr * t for t in ui]
+    if ui is None:
+        return [zr * t for t in ur], [zi * t for t in ur]
+    return (
+        [zr * t - zi * w for t, w in zip(ur, ui)],
+        [zr * w + zi * t for t, w in zip(ur, ui)],
+    )
+
+
+def _block_sum(u, v, op):
+    """(re, im) of u + v or u - v, as op is add or sub."""
+    ur, ui = u
+    vr, vi = v
+    if vi is None:
+        im = ui
+    elif ui is None:
+        im = vi if op is add else [-t for t in vi]
+    else:
+        im = list(map(op, ui, vi))
+    return list(map(op, ur, vr)), im
+
+
+class SpinorMatrix:
+    """Image of an element of Cl(p,q) over the integers, never changed
+    once made: Gaussian blocks, or one Gaussian scalar per block for a
+    central element."""
+
+    __slots__ = ("rep", "blocks", "center")
+
+    ring = RATIONAL
+
+    def __init__(self, rep, blocks=None, center=None):
+        self.rep = rep
+        self.blocks = blocks
+        self.center = center
+
+    @property
+    def sig(self):
+        return self.rep.sig
+
+    # -- conversions -------------------------------------------------------
+
+    @classmethod
+    def of(cls, u):
+        """The image of a rational Multivector."""
+        rep = _representation(u.sig)
+        area = rep.size * rep.size
+        terms = [(a, c) for a, c in enumerate(u.coeffs) if c]
+        blocks = []
+        for second in range(rep.count):
+            parts = ([0] * area, [0] * area)
+            for a, c in terms:
+                x, z, k = rep.blades[a]
+                if k & 2:
+                    c = -c
+                if second and (a & rep.flip).bit_count() & 1:
+                    c = -c
+                target = parts[k & 1]
+                for p, sign in zip(rep.positions[x], rep.signs[z]):
+                    target[p] += sign * c
+            re, im = parts
+            blocks.append((re, im if any(im) else None))
+        return cls(rep, tuple(blocks))
+
+    @classmethod
+    def scalar(cls, sig, value, ring=RATIONAL):
+        rep = _representation(sig)
+        return cls(rep, center=((_exact(value), 0),) * rep.count)
+
+    def multivector(self):
+        """The preimage: coefficient A is Re tr(image(e_A)**-1 M) / N.
+        The imaginary part must vanish, except on one block at odd n,
+        where it is the coefficient of e_A times the pseudoscalar."""
+        rep = self.rep
+        blocks = self._dense().blocks
+        gathered = [
+            [
+                (
+                    [re[p] for p in pos],
+                    None if im is None else [im[p] for p in pos],
+                )
+                for pos in rep.positions
+            ]
+            for re, im in blocks
+        ]
+        coeffs = []
+        for a, (x, z, k) in enumerate(rep.blades):
+            signs = rep.signs[z]
+            total = [0, 0]
+            for second, rows in enumerate(gathered):
+                flip = second and (a & rep.flip).bit_count() & 1
+                for part, values in enumerate(rows[x]):
+                    if values is not None:
+                        t = sum(map(mul, signs, values))
+                        total[part] += -t if flip else t
+            # Multiply by i**-k: i**-1 (u + iv) = v - iu.
+            re, im = total
+            for _ in range(k):
+                re, im = im, -re
+            if im and not rep.onto:
+                raise InternalError("spinor matrix outside the real algebra")
+            coeffs.append(_quotient(re, rep.degree))
+        return Multivector(rep.sig, coeffs, RATIONAL)
+
+    def _dense(self):
+        if self.center is None:
+            return self
+        s = self.rep.size
+        blocks = []
+        for zr, zi in self.center:
+            re, im = [0] * (s * s), [0] * (s * s)
+            for p in self.rep.positions[0]:
+                re[p], im[p] = zr, zi
+            blocks.append((re, im if zi else None))
+        return SpinorMatrix(self.rep, tuple(blocks))
+
+    # -- ring operations ------------------------------------------------------
+
+    def __mul__(self, other):
+        if not isinstance(other, SpinorMatrix):
+            return self.scale(other)
+        if self.center is not None:
+            return other._times_center(self.center)
+        if other.center is not None:
+            return self._times_center(other.center)
+        s = self.rep.size
+        return SpinorMatrix(self.rep, tuple(
+            _block_product(u, v, s) for u, v in zip(self.blocks, other.blocks)
+        ))
+
+    def scale(self, value):
+        value = _exact(value)
+        return self._times_center(((value, 0),) * self.rep.count)
+
+    def _times_center(self, center):
+        if self.center is None:
+            return SpinorMatrix(self.rep, tuple(
+                _block_scaled(u, z) for u, z in zip(self.blocks, center)
+            ))
+        return SpinorMatrix(self.rep, center=tuple(
+            (_exact(ur * vr - ui * vi), _exact(ur * vi + ui * vr))
+            for (ur, ui), (vr, vi) in zip(self.center, center)
+        ))
+
+    def __add__(self, other):
+        return self._plus(other, add)
+
+    def __sub__(self, other):
+        return self._plus(other, sub)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def _plus(self, other, op):
+        if self.center is not None and other.center is not None:
+            return SpinorMatrix(self.rep, center=tuple(
+                (_exact(op(ur, vr)), _exact(op(ui, vi)))
+                for (ur, ui), (vr, vi) in zip(self.center, other.center)
+            ))
+        return SpinorMatrix(self.rep, tuple(
+            _block_sum(u, v, op)
+            for u, v in zip(self._dense().blocks, other._dense().blocks)
+        ))
+
+    # -- projections ------------------------------------------------------------
+
+    def _block_values(self):
+        """Per block the Gaussian scalar tr(block) / block size."""
+        if self.center is not None:
+            return self.center
+        diagonal = self.rep.positions[0]
+        s = self.rep.size
+        return tuple(
+            (
+                _quotient(sum(re[p] for p in diagonal), s),
+                0 if im is None else _quotient(sum(im[p] for p in diagonal), s),
+            )
+            for re, im in self.blocks
+        )
+
+    def scalar_part(self):
+        """Re tr / N: the mean over the blocks of their block values."""
+        values = self._block_values()
+        return _quotient(sum(zr for zr, _ in values), len(values))
+
+    def grade_project(self, k):
+        """Grade 0, or at odd n grade n: what the block values hold
+        beyond the scalar part (opposite in the two blocks, or the
+        imaginary part of the one block).  Both are central."""
+        n = self.sig.dim
+        alpha = self.scalar_part()
+        if k == 0:
+            return SpinorMatrix(self.rep, center=((alpha, 0),) * self.rep.count)
+        if k == n and n & 1:
+            return SpinorMatrix(self.rep, center=tuple(
+                (_exact(zr - alpha), zi) for zr, zi in self._block_values()
+            ))
+        raise ValueError(f"no grade-{k} projection of a spinor matrix")
+
+    def nonscalar_norm(self):
+        """Max absolute entry of M - (its scalar part) I."""
+        rest = (self - self.grade_project(0))._dense()
+        return max(
+            max(map(abs, part))
+            for block in rest.blocks for part in block if part is not None
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isfinite
+from math import comb, isfinite, lcm
 
 from .errors import NonFiniteError, RingMismatchError, SignatureMismatchError
 
@@ -129,6 +129,11 @@ def _require_finite(*elements):
         if u.ring == FLOAT64 and not all(map(isfinite, u.coeffs)):
             bad = next(c for c in u.coeffs if not isfinite(c))
             raise NonFiniteError(f"non-finite coefficient {bad!r}")
+
+
+def _common_denominator(*elements):
+    """The lcm of every coefficient denominator of rational elements."""
+    return lcm(*(c.denominator for u in elements for c in u.coeffs))
 
 
 class Multivector:

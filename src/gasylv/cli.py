@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 from fractions import Fraction
 
 from . import charpoly as cp
 from . import sylvester as sylv
-from .algebra import FLOAT64, RATIONAL, Multivector, Signature
+from .algebra import FLOAT64, RATIONAL, Signature
 from .errors import (
     GasylvError,
     InternalError,
@@ -87,14 +85,6 @@ def build_parser():
         if name == "inverse":
             p.add_argument("--decimal", action="store_true")
 
-    p_bench = subs.add_parser("bench", help="dense-product micro-benchmark")
-    p_bench.add_argument(
-        "--sizes", default="", metavar="N,N,...",
-        help="dimensions to benchmark, e.g. 2,3,4,5",
-    )
-    p_bench.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt",
-    )
     return parser
 
 
@@ -206,42 +196,11 @@ def _cmd_charpoly(args):
     return EXIT_OK
 
 
-def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rng = random.Random(0)
-    rows = []
-    for n in sizes:
-        sig = Signature(n, 0)
-        u = Multivector(
-            sig, [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)], FLOAT64
-        )
-        v = Multivector(
-            sig, [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)], FLOAT64
-        )
-        # Keep total blade-pair work roughly constant across sizes.
-        ops = max(4, 2 ** 14 // (4 ** min(n, 7)))
-        start = time.perf_counter()
-        for _ in range(ops):
-            u * v
-        elapsed = time.perf_counter() - start
-        rows.append({"n": n, "ops": ops, "ns_per_op": elapsed / ops * 1e9})
-    _emit(
-        rows,
-        args.fmt,
-        [
-            f"n={row['n']} ops={row['ops']} ns_per_op={row['ns_per_op']:.0f}"
-            for row in rows
-        ],
-    )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "det": _cmd_det,
     "inverse": _cmd_inverse,
     "charpoly": _cmd_charpoly,
-    "bench": _cmd_bench,
 }
 
 _ERROR_CODES = (

@@ -11,6 +11,13 @@ its D; the default is the first method accepting n.  At odd n the full
 phi_B(A) can vanish on a problem that is not singular, so a zero Q from
 general is retried with general_odd.
 
+The recursions run on one of two kernels, chosen from the problem alone
+(_spinor.pays_off): the blade loop of Multivector, or, for dense
+rational operands at n >= 6, the exact spinor matrices of _spinor,
+N x N Gaussian-integer matrices whose product costs O(N**3) against the
+blade loop's 4**n.  A, B and C are converted once on entry, and D, F and
+the numerator M once on exit; both kernels give the same D, F, M and Q.
+
 In the rational ring every solve runs on integers.  On entry the
 denominators are cleared once: with L the lcm of all coefficient
 denominators of A, B and C, the method solves (LA)X - X(LB) = LC, which
@@ -29,13 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
+from . import _spinor
 from .algebra import (
     MAX_DIM,
     RATIONAL,
     Multivector,
     _coerce,
+    _common_denominator,
     _require_finite,
     conjugate,
     natural,
@@ -100,7 +108,7 @@ def verify_residual(prob, x):
 
 def _powers(a, top):
     """[e, A, A**2, ..., A**top] with one product per entry."""
-    pw = [Multivector.scalar(a.sig, 1, a.ring)]
+    pw = [type(a).scalar(a.sig, 1, a.ring)]
     for _ in range(top):
         pw.append(pw[-1] * a)
     return pw
@@ -140,17 +148,26 @@ def build_F_general(a, b, c):
 
 
 def _recursion(work, method):
-    """D, F, the adjugate-like factor and Q for the recursions: all N
-    coefficients of B (general) or the N/2 central ones (general_odd)."""
+    """D, F, M and Q, X = M / Q, for the recursions: all N coefficients
+    of B (general) or the N/2 central ones (general_odd), on spinor
+    matrices where they pay off.  From the recursion on D,
+    M = differences[-1] F = -Adj(D) F and Q = b_N = -Det(D)."""
+    spinor = _spinor.pays_off(work.a, work.b)
+    a, b, c = work.a, work.b, work.c
+    if spinor:
+        a, b, c = map(_spinor.SpinorMatrix.of, (a, b, c))
     if method == GENERAL:
-        data = char_poly(work.b)
+        data = char_poly(b)
     else:
-        data = generalized_coeffs(work.b)
-    pw = _powers(work.a, len(data.coeffs))
+        data = generalized_coeffs(b)
+    pw = _powers(a, len(data.coeffs))
     d = _assemble_d(pw, data.coeffs)
-    f = _assemble_f(pw, work.c, data.differences)
+    f = _assemble_f(pw, c, data.differences)
     inv = char_poly(d)
-    return d, f, inv.differences[-1], inv.coeffs[-1]
+    m = inv.differences[-1] * f
+    if spinor:
+        d, f, m = d.multivector(), f.multivector(), m.multivector()
+    return d, f, m, inv.coeffs[-1]
 
 
 def solve_general(prob):
@@ -212,7 +229,7 @@ def solve_closed(prob, variant):
 
 
 def _closed_form(work, variant):
-    """D, F, Adj(D) and Q for a closed form.  Every variant but
+    """D, F, M = Adj(D) F and Q = Det(D) for a closed form.  Every variant but
     closed_n4_v2 inverts D by the closed adjugate of its dimension."""
     a, b, c = work.a, work.b, work.c
     if variant == CLOSED_N1:
@@ -230,7 +247,8 @@ def _closed_form(work, variant):
         adj = d.tilde() * sharp(d)
     else:
         adj = _closed_adjugate(d)
-    return d, rhs, adj, _as_scalar(d * adj, d)
+    q = _as_scalar(d * adj, d)
+    return d, rhs, adj * rhs, q
 
 
 # Each method: the n it accepts, and the degree of its D and F in
@@ -261,9 +279,7 @@ def _clear_denominators(prob):
     every coefficient denominator; L = 1 returns the problem itself."""
     if prob.ring != RATIONAL:
         return 1, prob
-    scale = lcm(*(
-        c.denominator for u in (prob.a, prob.b, prob.c) for c in u.coeffs
-    ))
+    scale = _common_denominator(prob.a, prob.b, prob.c)
     if scale == 1:
         return 1, prob
     return scale, SylvesterProblem(
@@ -300,7 +316,7 @@ def _verified_x(prob, work, m, q, method):
 def _solve(prob, method, core):
     """Entry and exit shared by every solver: check that the method
     accepts n, clear denominators, run core(work, method) ->
-    (D, F, Adj, Q) on the integer problem, check and divide once, report
+    (D, F, M, Q) on the integer problem, check and divide once, report
     Q, D and F unscaled."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
@@ -308,11 +324,11 @@ def _solve(prob, method, core):
     if prob.sig.dim not in dims:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
     scale, work = _clear_denominators(prob)
-    d, f, adj, q = core(work, method)
+    d, f, m, q = core(work, method)
     d_scale = scale ** (prob.sig.charpoly_degree // divisor)
     if is_zero_scalar(q, d):
         raise SingularProblemError(q, d / d_scale)
-    x, residual, low_confidence = _verified_x(prob, work, adj * f, q, method)
+    x, residual, low_confidence = _verified_x(prob, work, m, q, method)
     if scale != 1:
         d = d / d_scale
         f = f / d_scale

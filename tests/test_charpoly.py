@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from gasylv import (
     load_coeff_lines,
     parse_multivector,
 )
+from gasylv.charpoly import _central_coeff, _faddeev_leverrier, _scalar_coeff
 from conftest import all_signatures, random_mv, random_sparse_mv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,8 +116,43 @@ class TestCharPoly:
         assert determinant(big) == pytest.approx(1e304, rel=1e-12)
         assert inverse(big).coeffs[0] == pytest.approx(1e-76, rel=1e-12)
 
+    def test_fraction_element_runs_on_its_integer_multiple(self, rng):
+        # With s the lcm of b's denominators, the k-th iterate,
+        # coefficient and difference of s b are s**k those of b: the
+        # reported values are those of the recursion run on b itself.
+        for sig in all_signatures(5):
+            b = Multivector(sig, [
+                Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+                for _ in range(sig.ncoeffs)
+            ])
+            runs = [(char_poly(b), sig.charpoly_degree, _scalar_coeff)]
+            if sig.dim % 2:
+                runs.append(
+                    (generalized_coeffs(b), sig.charpoly_degree // 2, _central_coeff)
+                )
+            for data, length, project in runs:
+                iterates, coeffs, differences = _faddeev_leverrier(b, length, project)
+                if project is _scalar_coeff:
+                    coeffs = tuple(c.scalar_part() for c in coeffs)
+                for got, want in (
+                    (data.iterates, iterates),
+                    (data.coeffs, coeffs),
+                    (data.differences, differences),
+                ):
+                    assert got == want
+                    assert _types(got) == _types(want)
+
+
+def _types(values):
+    """Coefficient types of a sequence of multivectors or scalars."""
+    return [type(c) for u in values for c in getattr(u, "coeffs", [u])]
+
 
 class TestDeterminant:
+    def test_zero_f64_determinant_is_positive_zero(self):
+        det = determinant(Multivector.zero(Signature(1, 1), FLOAT64))
+        assert det == 0 and math.copysign(1.0, det) == 1.0
+
     def test_multiplicativity(self, rng):
         for sig in all_signatures(5):
             u = random_mv(sig, rng, -3, 3)

@@ -1,0 +1,133 @@
+"""The spinor-matrix kernel: a faithful homomorphism, the same D, F and Q
+as the blade kernel, and the rule that chooses between the two."""
+
+from fractions import Fraction
+
+import pytest
+
+from gasylv import (
+    FLOAT64,
+    Multivector,
+    Signature,
+    SylvesterProblem,
+    build_D_general,
+    build_F_general,
+    center_project,
+    char_poly,
+    solve,
+)
+from gasylv import _spinor, sylvester
+from gasylv._spinor import SpinorMatrix
+from conftest import all_signatures, random_mv, random_sparse_mv
+from oracles import oracle_product, word_product, word_to_mask
+
+SIGNATURES = all_signatures(8) + [
+    Signature(5, 4), Signature(2, 7), Signature(5, 5), Signature(3, 7),
+]
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
+def test_homomorphism_against_the_word_oracle(sig, rng):
+    n = sig.dim
+    # Generator relations: with them every blade image, a product of
+    # generator images, is that of the algebra.
+    gens = [SpinorMatrix.of(Multivector.blade(sig, 1 << a)) for a in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            sign, word = word_product((a + 1,), (b + 1,), sig.p)
+            want = Multivector.blade(sig, word_to_mask(word), sign)
+            assert (gens[a] * gens[b]).multivector() == want
+    # Random products, dense where the oracle is cheap enough.
+    for _ in range(3):
+        if n <= 4:
+            u, v = random_mv(sig, rng), random_mv(sig, rng)
+        else:
+            u, v = (random_sparse_mv(sig, rng, 8) for _ in range(2))
+        got = SpinorMatrix.of(u) * SpinorMatrix.of(v)
+        assert got.multivector() == oracle_product(u, v)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
+def test_round_trip_is_exact(sig, rng):
+    u = random_mv(sig, rng, -10**30, 10**30)
+    assert SpinorMatrix.of(u).multivector() == u
+    m = SpinorMatrix.of(u)
+    assert m.scalar_part() == u.coeffs[0]
+    v = random_mv(sig, rng)
+    assert (m - SpinorMatrix.of(v)).multivector() == u - v
+    assert (m + SpinorMatrix.of(v).scale(3)).multivector() == u + v.scale(3)
+
+
+@pytest.mark.parametrize("sig", all_signatures(7, 3), ids=repr)
+def test_projections_match_the_blade_ones(sig, rng):
+    # The recursion's two projections and the scalar constructor.
+    u = random_mv(sig, rng)
+    m = SpinorMatrix.of(u)
+    want = center_project(u) if sig.dim % 2 else u.grade_project(0)
+    got = center_project(m) if sig.dim % 2 else m.grade_project(0)
+    assert got.multivector() == want
+    three = SpinorMatrix.scalar(sig, 3)
+    assert (three * m).multivector() == u.scale(3)
+    assert (m - three).multivector() == u - Multivector.scalar(sig, 3)
+    assert (three - m).multivector() == Multivector.scalar(sig, 3) - u
+    assert m.nonscalar_norm() > 0
+    assert SpinorMatrix.of(u.grade_project(0)).nonscalar_norm() == 0
+
+
+def _dense_problem(sig, rng, kind):
+    if kind == "int":
+        draw = lambda: rng.randint(-3, 3)  # noqa: E731
+    else:
+        draw = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 7))  # noqa: E731
+    return SylvesterProblem(*(
+        Multivector(sig, [draw() for _ in range(sig.ncoeffs)])
+        for _ in range(3)
+    ))
+
+
+def _fields(sol):
+    return [
+        (value, [type(c) for c in getattr(value, "coeffs", [value])])
+        for value in (sol.x, sol.q, sol.d, sol.f, sol.method)
+    ]
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
+    prob = _dense_problem(sig, rng, kind)
+    assert _spinor.pays_off(prob.a, prob.b)
+    methods = [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2)
+    matrix = [solve(prob, method) for method in methods]
+    if kind == "int" and matrix[0].method == sylvester.GENERAL:
+        d = build_D_general(prob.a, prob.b)
+        assert matrix[0].d == d
+        assert matrix[0].f == build_F_general(prob.a, prob.b, prob.c)
+        assert matrix[0].q == char_poly(d).coeffs[-1]
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    blade = [solve(prob, method) for method in methods]
+    for got, want in zip(matrix, blade):
+        assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_selection_keeps_sparse_operands_on_blades(n, rng):
+    # Operands as the CLI sees them: a scalar plus at most five blades.
+    sig = Signature(n - n // 2, n // 2)
+    for _ in range(20):
+        a, b = (
+            Multivector.from_terms(sig, {
+                0: rng.randint(1, 9),
+                **{rng.randrange(1, sig.ncoeffs): rng.randint(-5, 5)
+                   for _ in range(5)},
+            })
+            for _ in range(2)
+        )
+        assert not _spinor.pays_off(a, b)
+    dense = random_mv(sig, rng, 1, 3)
+    assert _spinor.pays_off(dense, dense)
+    as_float = Multivector(sig, [float(c) for c in dense.coeffs], FLOAT64)
+    assert not _spinor.pays_off(as_float, as_float)
+    assert not _spinor.pays_off(*(random_mv(Signature(3, 2), rng, 1, 3),) * 2)
