@@ -24,7 +24,9 @@ part Re tr / N, the grade-0 and (odd n) grade-n projections from the
 block traces, and the scalar constructor.  A central element is kept as
 one Gaussian scalar per block, so a product with it is a blockwise
 scaling.  Blocks are flat row-major lists of real and imaginary parts,
-the imaginary list None where it is zero.
+the imaginary list None where it is zero.  The entries are integers:
+SpinorMatrix.of refuses an element with a denominator, and the
+preimage leaves its division by N to the algebra's constructor.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .algebra import RATIONAL, Multivector
+from .algebra import RATIONAL, _build, _value
 from .errors import InternalError
 
 # The matrices pay off from this n, and once nnz(A) nnz(B) reaches
@@ -52,8 +54,8 @@ def pays_off(a, b):
     enough."""
     if a.ring != RATIONAL or a.sig.dim < MIN_DIM:
         return False
-    nnz_a = len(a.coeffs) - a.coeffs.count(0)
-    nnz_b = len(b.coeffs) - b.coeffs.count(0)
+    nnz_a = len(a._num) - a._num.count(0)
+    nnz_b = len(b._num) - b._num.count(0)
     return nnz_a * nnz_b >= MIN_PAIRS
 
 
@@ -122,12 +124,6 @@ def _exact(value):
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
-
-
-def _quotient(num, den):
-    """num / den, as an int when it is one."""
-    q, r = divmod(num, den)
-    return q if not r else Fraction(num, den)
 
 
 def _matmul(a, b, s):
@@ -204,10 +200,12 @@ class SpinorMatrix:
 
     @classmethod
     def of(cls, u):
-        """The image of a rational Multivector."""
+        """The image of a rational Multivector with integer coefficients."""
+        if u.ring != RATIONAL or u._den != 1:
+            raise InternalError("a spinor matrix holds integers only")
         rep = _representation(u.sig)
         area = rep.size * rep.size
-        terms = [(a, c) for a, c in enumerate(u.coeffs) if c]
+        terms = [(a, c) for a, c in enumerate(u._num) if c]
         blocks = []
         for second in range(rep.count):
             parts = ([0] * area, [0] * area)
@@ -229,8 +227,9 @@ class SpinorMatrix:
         rep = _representation(sig)
         return cls(rep, center=((_exact(value), 0),) * rep.count)
 
-    def multivector(self):
-        """The preimage: coefficient A is Re tr(image(e_A)**-1 M) / N.
+    def multivector(self, den=1):
+        """The preimage divided by den: coefficient A is
+        Re tr(image(e_A)**-1 M) / N.
         The imaginary part must vanish, except on one block at odd n,
         where it is the coefficient of e_A times the pseudoscalar."""
         rep = self.rep
@@ -261,8 +260,8 @@ class SpinorMatrix:
                 re, im = im, -re
             if im and not rep.onto:
                 raise InternalError("spinor matrix outside the real algebra")
-            coeffs.append(_quotient(re, rep.degree))
-        return Multivector(rep.sig, coeffs, RATIONAL)
+            coeffs.append(re)
+        return _build(rep.sig, RATIONAL, coeffs, rep.degree * den)
 
     def _dense(self):
         if self.center is None:
@@ -334,8 +333,8 @@ class SpinorMatrix:
         s = self.rep.size
         return tuple(
             (
-                _quotient(sum(re[p] for p in diagonal), s),
-                0 if im is None else _quotient(sum(im[p] for p in diagonal), s),
+                _value(sum(re[p] for p in diagonal), s),
+                0 if im is None else _value(sum(im[p] for p in diagonal), s),
             )
             for re, im in self.blocks
         )
@@ -343,7 +342,7 @@ class SpinorMatrix:
     def scalar_part(self):
         """Re tr / N: the mean over the blocks of their block values."""
         values = self._block_values()
-        return _quotient(sum(zr for zr, _ in values), len(values))
+        return _value(sum(zr for zr, _ in values), len(values))
 
     def grade_project(self, k):
         """Grade 0, or at odd n grade n: what the block values hold

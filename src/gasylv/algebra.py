@@ -2,8 +2,13 @@
 
 Elements are stored as flat coefficient vectors of length 2**n indexed by
 blade bitmask: bit a-1 set means the generator e_a is a factor of the
-blade.  Two scalar rings are supported: exact rationals (Python int /
-fractions.Fraction, never silently degraded) and binary64 floats.
+blade.  Two scalar rings are supported: exact rationals, never silently
+degraded, and binary64 floats.  A rational element is int numerators
+over one positive denominator in lowest terms, so products and sums run
+on ints with one gcd per result; a float element is its floats over 1.
+Only the public constructors coerce values; kernel results go through
+_build.  Denominators are this module's alone, but for the conversion
+of a problem into integer spinor matrices in sylvester._recursion.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isfinite, lcm
+from math import comb, gcd, isfinite, lcm
+from operator import add, sub
 
 from .errors import NonFiniteError, RingMismatchError, SignatureMismatchError
 
@@ -131,29 +137,33 @@ def _require_finite(*elements):
             raise NonFiniteError(f"non-finite coefficient {bad!r}")
 
 
-def _common_denominator(*elements):
-    """The lcm of every coefficient denominator of rational elements."""
-    return lcm(*(c.denominator for u in elements for c in u.coeffs))
+def _value(num, den):
+    """The scalar num / den: num itself when den is 1, else an int where
+    den divides num and a reduced Fraction otherwise."""
+    if den == 1:
+        return num
+    quo, rem = divmod(num, den)
+    return Fraction(num, den) if rem else quo
 
 
 class Multivector:
     """Immutable element of Cl(p,q) over one scalar ring.
 
-    Rational coefficients are kept as plain ints whenever the denominator
-    is 1, so integer-only workloads stay in fast int arithmetic.
+    A rational element holds a tuple of int numerators over one positive
+    denominator, in lowest terms; a float element holds its floats over
+    1.  coeffs shows the values: floats, or an int where the denominator
+    divides the numerator and a reduced Fraction otherwise.
     """
 
-    __slots__ = ("sig", "ring", "coeffs")
+    __slots__ = ("sig", "ring", "_num", "_den")
 
-    def __init__(self, sig, coeffs, ring=RATIONAL):
-        coeffs = tuple(_coerce(c, ring) for c in coeffs)
+    def __new__(cls, sig, coeffs, ring=RATIONAL):
+        coeffs = [_coerce(c, ring) for c in coeffs]
         if len(coeffs) != sig.ncoeffs:
             raise ValueError(
                 f"expected {sig.ncoeffs} coefficients, got {len(coeffs)}"
             )
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
+        return _over_lcm(sig, ring, coeffs, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -162,31 +172,35 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig, ring=RATIONAL):
-        return cls(sig, [0] * sig.ncoeffs, ring)
+        return cls.from_terms(sig, {}, ring)
 
     @classmethod
     def scalar(cls, sig, value, ring=RATIONAL):
-        coeffs = [0] * sig.ncoeffs
-        coeffs[0] = value
-        return cls(sig, coeffs, ring)
+        return cls.from_terms(sig, {0: value}, ring)
 
     @classmethod
     def blade(cls, sig, mask, value=1, ring=RATIONAL):
         if not 0 <= mask < sig.ncoeffs:
             raise ValueError(f"blade mask {mask} out of range")
-        coeffs = [0] * sig.ncoeffs
-        coeffs[mask] = value
-        return cls(sig, coeffs, ring)
+        return cls.from_terms(sig, {mask: value}, ring)
 
     @classmethod
     def from_terms(cls, sig, terms, ring=RATIONAL):
         """Build from {mask: coefficient}; missing blades are zero."""
-        coeffs = [0] * sig.ncoeffs
+        coeffs = [_coerce(0, ring)] * sig.ncoeffs
         for mask, value in terms.items():
-            coeffs[mask] = value
-        return cls(sig, coeffs, ring)
+            coeffs[mask] = _coerce(value, ring)
+        return _over_lcm(sig, ring, coeffs, [coeffs[mask] for mask in terms])
 
     # -- bookkeeping ---------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The coefficients, indexed by blade mask."""
+        den = self._den
+        if den == 1:
+            return self._num
+        return tuple(Fraction(c, den) if c % den else c // den for c in self._num)
 
     def _zero(self):
         return 0.0 if self.ring == FLOAT64 else 0
@@ -202,49 +216,49 @@ class Multivector:
             )
 
     def scalar_part(self):
-        return self.coeffs[0]
+        return _value(self._num[0], self._den)
 
     def max_abs_coeff(self):
-        return max(abs(c) for c in self.coeffs)
+        return _value(max(map(abs, self._num)), self._den)
 
     def nonscalar_norm(self):
         """Max absolute coefficient outside grade 0."""
-        rest = self.coeffs[1:]
-        return max(map(abs, rest)) if rest else self._zero()
+        rest = self._num[1:]
+        return _value(max(map(abs, rest)), self._den) if rest else self._zero()
 
     def is_zero(self):
         zero = self._zero()
-        return all(c == zero for c in self.coeffs)
+        return all(c == zero for c in self._num)
 
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_compat(other)
-        return Multivector(
-            self.sig,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.ring,
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_compat(other)
-        return Multivector(
-            self.sig,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.ring,
-        )
+        den = self._den
+        if den == other._den:
+            out = list(map(op, self._num, other._num))
+        else:
+            den = lcm(den, other._den)
+            fa, fb = den // self._den, den // other._den
+            out = [op(a * fa, b * fb) for a, b in zip(self._num, other._num)]
+        return _build(self.sig, self.ring, out, den)
 
     def __neg__(self):
-        return Multivector(self.sig, [-c for c in self.coeffs], self.ring)
+        return _build(self.sig, self.ring, [-c for c in self._num], self._den)
 
     def scale(self, value):
         value = _coerce(value, self.ring)
-        return Multivector(
-            self.sig, [value * c for c in self.coeffs], self.ring
+        num, den = (value, 1) if self.ring == FLOAT64 else value.as_integer_ratio()
+        return _build(
+            self.sig, self.ring, [num * c for c in self._num], den * self._den
         )
 
     def __truediv__(self, value):
@@ -263,10 +277,10 @@ class Multivector:
         n = self.sig.dim
         out = [self._zero()] * (1 << n)
         # e_a e_b = -e_(a^b) exactly when b & masks[a] has odd popcount.
-        terms = [(b, cb) for b, cb in enumerate(other.coeffs) if cb]
+        terms = [(b, cb) for b, cb in enumerate(other._num) if cb]
         masks = _sign_masks(n, self.sig.p)
         popcount = _grades(n)
-        for a, ca in enumerate(self.coeffs):
+        for a, ca in enumerate(self._num):
             if not ca:
                 continue
             m = masks[a]
@@ -275,7 +289,7 @@ class Multivector:
                     out[a ^ b] -= ca * cb
                 else:
                     out[a ^ b] += ca * cb
-        return Multivector(self.sig, out, self.ring)
+        return _build(self.sig, self.ring, out, self._den * other._den)
 
     def __rmul__(self, other):
         # Only scalars reach here; scalar multiplication commutes.
@@ -299,11 +313,12 @@ class Multivector:
         return (
             self.sig == other.sig
             and self.ring == other.ring
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self._den == other._den
+            and all(a == b for a, b in zip(self._num, other._num))
         )
 
     def __hash__(self):
-        return hash((self.sig, self.ring, self.coeffs))
+        return hash((self.sig, self.ring, self._num, self._den))
 
     # -- grade structure -------------------------------------------------
 
@@ -313,20 +328,20 @@ class Multivector:
             raise ValueError(f"grade {k} out of range 0..{n}")
         grades = _grades(n)
         zero = self._zero()
-        return Multivector(
+        return _build(
             self.sig,
-            [c if grades[i] == k else zero
-             for i, c in enumerate(self.coeffs)],
             self.ring,
+            [c if grades[i] == k else zero for i, c in enumerate(self._num)],
+            self._den,
         )
 
     def _apply_grade_signs(self, signs):
         grades = _grades(self.sig.dim)
-        return Multivector(
+        return _build(
             self.sig,
-            [c if signs[grades[i]] > 0 else -c
-             for i, c in enumerate(self.coeffs)],
             self.ring,
+            [c if signs[grades[i]] > 0 else -c for i, c in enumerate(self._num)],
+            self._den,
         )
 
     def hat(self):
@@ -348,6 +363,33 @@ class Multivector:
 
     def __repr__(self):
         return f"<Multivector Cl({self.sig.p},{self.sig.q}) {self}>"
+
+
+def _over_lcm(sig, ring, coeffs, values):
+    """The coerced coeffs (ints and Fractions, or floats) as numerators
+    over the lcm of the denominators of values, every nonzero one."""
+    den = 1
+    if ring == RATIONAL:
+        den = lcm(*[v.denominator for v in values if type(v) is not int])
+    if den != 1:
+        coeffs = [c and c.numerator * (den // c.denominator) for c in coeffs]
+    return _build(sig, ring, coeffs, den)
+
+
+def _build(sig, ring, num, den=1):
+    """The kernel's constructor: numerators num (ints, or floats over 1)
+    over den > 0, divided by their gcd with den; nothing is coerced."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    u = object.__new__(Multivector)
+    object.__setattr__(u, "sig", sig)
+    object.__setattr__(u, "ring", ring)
+    object.__setattr__(u, "_num", tuple(num))
+    object.__setattr__(u, "_den", den)
+    return u
 
 
 @lru_cache(maxsize=None)

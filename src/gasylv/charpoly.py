@@ -6,10 +6,10 @@ multivector, via one Faddeev-LeVerrier recursion
 run with two projections P: L = N = 2**ceil(n/2) steps of the scalar
 part give the characteristic polynomial (c_(k) = b_(k)), and for odd n
 L = N/2 steps of the center projection give the generalized central
-coefficients that halve the recursion.  A rational element runs it on
-integers (_cleared_recursion).  The loop needs only products, sums and
-the projection, so it runs unchanged on the spinor matrices of _spinor
-as well.  Closed-form determinant expressions for n <= 5 serve as
+coefficients that halve the recursion.  The loop needs only products,
+sums and the projection, so a rational element runs it on the integer
+numerators of Multivector, and it runs unchanged on the spinor matrices
+of _spinor.  Closed-form determinant expressions for n <= 5 serve as
 cross-check oracles; the closed adjugates they multiply are also those
 of the closed-form solvers.
 """
@@ -23,7 +23,6 @@ from fractions import Fraction
 from .algebra import (
     RATIONAL,
     Multivector,
-    _common_denominator,
     _require_finite,
     center_project,
     natural,
@@ -113,33 +112,6 @@ def _faddeev_leverrier(b, length, project):
     return tuple(iterates), tuple(coeffs), tuple(differences)
 
 
-def _cleared_recursion(b, length, project):
-    """_faddeev_leverrier(b, length, project) run on the integer element
-    s b, s the lcm of the coefficient denominators of a rational b.  Its
-    k-th iterate, coefficient and difference are s**k times those of b,
-    and are divided by s**k once, so the values are those of b."""
-    scale = 1
-    if isinstance(b, Multivector) and b.ring == RATIONAL:
-        scale = _common_denominator(b)
-    if scale == 1:
-        return _faddeev_leverrier(b, length, project)
-    steps = _faddeev_leverrier(b.scale(scale), length, project)
-    steps = [list(step) for step in steps]
-    # In place, so that each scaled element is freed once divided.
-    for step in steps:
-        for k, u in enumerate(step):
-            step[k] = _divided(u, scale ** (k + 1))
-    return tuple(map(tuple, steps))
-
-
-def _divided(u, divisor):
-    """u / divisor, dividing only the nonzero coefficients, so that a
-    sparse element stays cheap."""
-    return Multivector(
-        u.sig, [Fraction(c, divisor) if c else 0 for c in u.coeffs], u.ring
-    )
-
-
 def _scalar_coeff(u, ratio):
     return type(u).scalar(u.sig, ratio * u.scalar_part(), u.ring)
 
@@ -149,15 +121,14 @@ def _central_coeff(u, ratio):
 
 
 def char_poly(b):
-    """Run the full N-step recursion on b (on integers, see
-    _cleared_recursion).
+    """Run the full N-step recursion on b.
 
     For exact scalars the final iterate is checked to be a pure scalar
     (a consequence of Cayley-Hamilton); for floats a residue that fails
     the zero test raises NumericalDegradationError.
     """
     _require_finite(b)
-    iterates, coeffs, differences = _cleared_recursion(
+    iterates, coeffs, differences = _faddeev_leverrier(
         b, b.sig.charpoly_degree, _scalar_coeff
     )
     coeffs = tuple(c.scalar_part() for c in coeffs)
@@ -206,7 +177,7 @@ def generalized_coeffs(b):
         raise ValueError("generalized coefficients are defined for odd n")
     return GeneralizedCoeffs(
         sig,
-        *_cleared_recursion(b, sig.charpoly_degree // 2, _central_coeff),
+        *_faddeev_leverrier(b, sig.charpoly_degree // 2, _central_coeff),
     )
 
 

@@ -185,9 +185,10 @@ def format_multivector(u, decimal=False):
     n = u.sig.dim
     grades = _grades(n)
     order = sorted(range(u.sig.ncoeffs), key=lambda m: (grades[m], m))
+    coeffs = u.coeffs
     parts = []
     for mask in order:
-        c = u.coeffs[mask]
+        c = coeffs[mask]
         if not c:
             continue
         negative = c < 0

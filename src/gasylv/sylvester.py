@@ -6,10 +6,10 @@ matching right-hand combination F, so that D X = F, then inverting D by
 its own characteristic-polynomial recursion.  For odd n a half-length
 variant builds D and F the same way from the N/2 generalized central
 coefficients; both read the differences B_(k) - c_(k) the recursion
-formed.  One table states the n each method accepts and the degree of
-its D; the default is the first method accepting n.  At odd n the full
-phi_B(A) can vanish on a problem that is not singular, so a zero Q from
-general is retried with general_odd.
+formed.  One table states the n each method accepts; the default is the
+first method accepting n.  At odd n the full phi_B(A) can vanish on a
+problem that is not singular, so a zero Q from general is retried with
+general_odd.
 
 The recursions run on one of two kernels, chosen from the problem alone
 (_spinor.pays_off): the blade loop of Multivector, or, for dense
@@ -18,33 +18,33 @@ N x N Gaussian-integer matrices whose product costs O(N**3) against the
 blade loop's 4**n.  A, B and C are converted once on entry, and D, F and
 the numerator M once on exit; both kernels give the same D, F, M and Q.
 
-In the rational ring every solve runs on integers.  On entry the
-denominators are cleared once: with L the lcm of all coefficient
-denominators of A, B and C, the method solves (LA)X - X(LB) = LC, which
-has the same X.  The residual is checked on the integer numerator
-M = Adj(D')F' as A'M - MB' - Q'C' = 0, which is LQ' times AX - XB - C, and
-X = M / Q' is the one division.  Q, D and F are reported unscaled, as
-for the problem given: D and F are homogeneous of a degree d in (A, B)
-that each method fixes, and Q of degree dN, so D = D'/L**d, F = F'/L**d
-and Q = Q'/L**(dN).
+In the rational ring every solve runs on integers without clearing
+anything first: a Multivector holds integer numerators over one
+denominator, so every product and sum of a method is integer arithmetic
+with one gcd per result.  The residual is checked on the numerator
+M = Adj(D)F as AM - MB - QC = 0, which is Q times AX - XB - C, and
+X = M / Q is the one division.  The spinor matrices hold integers only;
+_recursion alone scales into them and back (see there).
 
 A float answer is flagged low_confidence when its residual is not within
-RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max norm.
+RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max norm.  A float D
+or Q that overflows in a recursion is refused with
+NumericalDegradationError; a closed form flags its answer instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isfinite, lcm
 
 from . import _spinor
 from .algebra import (
+    FLOAT64,
     MAX_DIM,
     RATIONAL,
     Multivector,
-    _coerce,
-    _common_denominator,
     _require_finite,
+    _value,
     conjugate,
     natural,
     sharp,
@@ -57,7 +57,11 @@ from .charpoly import (
     inverse,
     is_zero_scalar,
 )
-from .errors import ResidualCheckFailedError, SingularProblemError
+from .errors import (
+    NumericalDegradationError,
+    ResidualCheckFailedError,
+    SingularProblemError,
+)
 
 RESIDUAL_TOL = 1e-8
 
@@ -147,27 +151,34 @@ def build_F_general(a, b, c):
     return _assemble_f(_powers(a, data.degree - 1), c, data.differences)
 
 
-def _recursion(work, method):
+def _recursion(prob, method):
     """D, F, M and Q, X = M / Q, for the recursions: all N coefficients
     of B (general) or the N/2 central ones (general_odd), on spinor
     matrices where they pay off.  From the recursion on D,
-    M = differences[-1] F = -Adj(D) F and Q = b_N = -Det(D)."""
-    spinor = _spinor.pays_off(work.a, work.b)
-    a, b, c = work.a, work.b, work.c
+    M = differences[-1] F = -Adj(D) F and Q = b_N = -Det(D).  The
+    matrices hold integers: A, B and C enter times the lcm L of their
+    denominators, and D and F, of degree len(data.coeffs), leave divided
+    by L to that degree, M and Q by L to N times it."""
+    a, b, c = prob.a, prob.b, prob.c
+    spinor = _spinor.pays_off(a, b)
     if spinor:
-        a, b, c = map(_spinor.SpinorMatrix.of, (a, b, c))
-    if method == GENERAL:
-        data = char_poly(b)
-    else:
-        data = generalized_coeffs(b)
+        scale = lcm(a._den, b._den, c._den)
+        a, b, c = (_spinor.SpinorMatrix.of(u.scale(scale)) for u in (a, b, c))
+    data = char_poly(b) if method == GENERAL else generalized_coeffs(b)
     pw = _powers(a, len(data.coeffs))
     d = _assemble_d(pw, data.coeffs)
     f = _assemble_f(pw, c, data.differences)
+    if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
+        raise NumericalDegradationError("D = phi_B(A) overflows")
     inv = char_poly(d)
     m = inv.differences[-1] * f
+    q = inv.coeffs[-1]
     if spinor:
-        d, f, m = d.multivector(), f.multivector(), m.multivector()
-    return d, f, m, inv.coeffs[-1]
+        d_scale = scale ** len(data.coeffs)
+        m_scale = d_scale ** prob.sig.charpoly_degree
+        d, f, m = d.multivector(d_scale), f.multivector(d_scale), m.multivector(m_scale)
+        q = _value(q, m_scale)
+    return d, f, m, q
 
 
 def solve_general(prob):
@@ -228,10 +239,10 @@ def solve_closed(prob, variant):
     return _solve(prob, variant, _closed_form)
 
 
-def _closed_form(work, variant):
+def _closed_form(prob, variant):
     """D, F, M = Adj(D) F and Q = Det(D) for a closed form.  Every variant but
     closed_n4_v2 inverts D by the closed adjugate of its dimension."""
-    a, b, c = work.a, work.b, work.c
+    a, b, c = prob.a, prob.b, prob.c
     if variant == CLOSED_N1:
         d = a - b
         rhs = c
@@ -251,19 +262,17 @@ def _closed_form(work, variant):
     return d, rhs, adj * rhs, q
 
 
-# Each method: the n it accepts, and the degree of its D and F in
-# (A, B) as N divided by this number (Q has N times that degree).  At
-# odd n every method but general has the half-length degree N/2 of the
-# central recursion.  solve defaults to the first method accepting n.
+# Each method and the n it accepts; solve defaults to the first method
+# accepting n.
 _METHOD_TABLE = {
-    CLOSED_N1: ((1,), 2),
-    CLOSED_N2: ((2,), 1),
-    CLOSED_N3: ((3,), 2),
-    CLOSED_N4_V2: ((4,), 1),
-    CLOSED_N4_V1: ((4,), 1),
-    CLOSED_N5: ((5,), 2),
-    GENERAL_ODD: (range(1, MAX_DIM + 1, 2), 2),
-    GENERAL: (range(1, MAX_DIM + 1), 1),
+    CLOSED_N1: (1,),
+    CLOSED_N2: (2,),
+    CLOSED_N3: (3,),
+    CLOSED_N4_V2: (4,),
+    CLOSED_N4_V1: (4,),
+    CLOSED_N5: (5,),
+    GENERAL_ODD: range(1, MAX_DIM + 1, 2),
+    GENERAL: range(1, MAX_DIM + 1),
 }
 
 METHODS = tuple(_METHOD_TABLE)
@@ -271,31 +280,17 @@ METHODS = tuple(_METHOD_TABLE)
 
 def _methods_for(n):
     """The methods that accept n, the default first."""
-    return [m for m, (dims, _) in _METHOD_TABLE.items() if n in dims]
+    return [m for m, dims in _METHOD_TABLE.items() if n in dims]
 
 
-def _clear_denominators(prob):
-    """(L, the problem with A, B and C multiplied by L), L the lcm of
-    every coefficient denominator; L = 1 returns the problem itself."""
-    if prob.ring != RATIONAL:
-        return 1, prob
-    scale = _common_denominator(prob.a, prob.b, prob.c)
-    if scale == 1:
-        return 1, prob
-    return scale, SylvesterProblem(
-        prob.a.scale(scale), prob.b.scale(scale), prob.c.scale(scale)
-    )
-
-
-def _verified_x(prob, work, m, q, method):
+def _verified_x(prob, m, q, method):
     """(X, residual, low_confidence) for X = M / Q, checked by
-    substitution.  The rational ring checks A'M - MB' - Q'C' = 0 on the
-    integer problem `work` before the one division; floats check the
-    problem as given and flag a residual that is above its bound or not
-    finite."""
+    substitution.  The rational ring checks AM - MB - QC = 0 before the
+    one division; floats check X and flag a residual that is above its
+    bound or not finite."""
     if prob.ring == RATIONAL:
         residual = verify_residual(
-            SylvesterProblem(work.a, work.b, work.c.scale(q)), m
+            SylvesterProblem(prob.a, prob.b, prob.c.scale(q)), m
         )
         if residual != 0:
             raise ResidualCheckFailedError(
@@ -315,24 +310,16 @@ def _verified_x(prob, work, m, q, method):
 
 def _solve(prob, method, core):
     """Entry and exit shared by every solver: check that the method
-    accepts n, clear denominators, run core(work, method) ->
-    (D, F, M, Q) on the integer problem, check and divide once, report
-    Q, D and F unscaled."""
+    accepts n, run core(prob, method) -> (D, F, M, Q), check and divide
+    once."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
-    dims, divisor = _METHOD_TABLE[method]
-    if prob.sig.dim not in dims:
+    if prob.sig.dim not in _METHOD_TABLE[method]:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
-    scale, work = _clear_denominators(prob)
-    d, f, m, q = core(work, method)
-    d_scale = scale ** (prob.sig.charpoly_degree // divisor)
+    d, f, m, q = core(prob, method)
     if is_zero_scalar(q, d):
-        raise SingularProblemError(q, d / d_scale)
-    x, residual, low_confidence = _verified_x(prob, work, m, q, method)
-    if scale != 1:
-        d = d / d_scale
-        f = f / d_scale
-        q = _coerce(Fraction(q, d_scale ** prob.sig.charpoly_degree), RATIONAL)
+        raise SingularProblemError(q, d)
+    x, residual, low_confidence = _verified_x(prob, m, q, method)
     return SylvesterSolution(x, q, d, f, method, residual, low_confidence)
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from gasylv import (
     FLOAT64,
+    RATIONAL,
     Multivector,
     NonFiniteError,
     RingMismatchError,
@@ -13,12 +15,15 @@ from gasylv import (
     SignatureMismatchError,
     blade_product,
     center_project,
+    char_poly,
     conjugate,
     grade_project,
     natural,
     scalar_via_conjugations,
+    parse_multivector,
     sharp,
 )
+from gasylv import algebra
 from conftest import all_signatures, random_mv, random_sparse_mv
 from oracles import mask_to_word, oracle_product, word_product, word_to_mask
 
@@ -341,3 +346,123 @@ def test_immutability():
     u = Multivector.scalar(Signature(1, 1), 1)
     with pytest.raises(AttributeError):
         u.coeffs = (0, 0, 0, 0)
+
+
+def _frac_mv(sig, rng, nterms=None):
+    masks = range(sig.ncoeffs) if nterms is None else [
+        rng.randrange(sig.ncoeffs) for _ in range(nterms)
+    ]
+    return Multivector.from_terms(sig, {
+        mask: Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for mask in masks
+    })
+
+
+def _in_lowest_terms(u):
+    return u._den > 0 and math.gcd(u._den, *u._num) == 1
+
+
+class TestRepresentation:
+    """A rational element is integer numerators over one positive
+    denominator in lowest terms; coeffs shows ints where it divides."""
+
+    def test_results_are_in_lowest_terms(self, rng):
+        sig = Signature(2, 1)
+        for _ in range(20):
+            u, v = _frac_mv(sig, rng), _frac_mv(sig, rng)
+            results = [
+                u + v, u - v, u * v, u.scale(Fraction(14, 3)), u / Fraction(6, 5),
+                u / 4, u.grade_project(1), u.hat(), u.tilde(), u.triangle(),
+                u.square(), -u, center_project(u),
+            ]
+            for w in results:
+                assert _in_lowest_terms(w), w
+        # A product whose denominators cancel: (1/2 + 1/2 e1)(2 - 2 e1)
+        # is 1 - e1 e1 = 0 in Cl(2,1).
+        half = Multivector.from_terms(sig, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+        two = Multivector.from_terms(sig, {0: 2, 1: -2})
+        assert (half * two).is_zero()
+        assert (half * two)._den == 1
+        assert half.scale(2)._den == 1
+        assert (half - half)._den == 1
+        assert Multivector.zero(sig)._den == 1
+        assert _in_lowest_terms(half * half.scale(Fraction(-2, 3)))
+
+    def test_equal_values_are_equal_and_hash_equal(self, rng):
+        sig = Signature(1, 2)
+        u = Multivector(sig, [Fraction(2, 4), 3, 0, Fraction(-6, 9), 0, 0, 0, 1])
+        literal = parse_multivector("1/2 + 3e1 - 2/3e12 + e123", sig)
+        built = [
+            Multivector(sig, [Fraction(1, 2), 3, 0, Fraction(-2, 3), 0, 0, 0, 1]),
+            u.scale(3) / 3,
+            u.scale(Fraction(6, 7)) / Fraction(6, 7),
+            literal,
+            (u + u) / 2,
+        ]
+        for w in built:
+            assert w == u
+            assert hash(w) == hash(u)
+            assert w._num == u._num and w._den == u._den
+
+    def test_coeffs_are_ints_where_the_denominator_divides(self):
+        sig = Signature(2, 0)
+        u = Multivector(sig, [Fraction(1, 2), Fraction(4, 2), 0, -3])
+        assert u._den == 2
+        assert [type(c) for c in u.coeffs] == [Fraction, int, int, int]
+        assert u.coeffs == (Fraction(1, 2), 2, 0, -3)
+        assert type(u.scalar_part()) is Fraction
+        assert type(u.max_abs_coeff()) is int and u.max_abs_coeff() == 3
+        assert type(u.scale(2).scalar_part()) is int
+        assert all(type(c) is int for c in u.scale(2).coeffs)
+
+    def test_f64_elements_keep_their_floats(self):
+        sig = Signature(1, 1)
+        nan = float("nan")
+        u = Multivector(sig, [-0.0, 1.5, nan, 2], FLOAT64)
+        assert [type(c) for c in u.coeffs] == [float] * 4
+        assert math.copysign(1.0, u.coeffs[0]) == -1.0
+        assert u._den == 1
+        assert u != u
+        e1 = Multivector.blade(sig, 1, 1.0, FLOAT64)
+        flipped = e1.scale(-2.0)
+        assert math.copysign(1.0, flipped.coeffs[0]) == -1.0
+        assert flipped == Multivector(sig, [0.0, -2.0, 0.0, 0.0], FLOAT64)
+        assert hash(flipped) == hash(Multivector(sig, [0.0, -2.0, 0.0, 0.0], FLOAT64))
+        scalar = Multivector.scalar(sig, -2.0, FLOAT64)
+        assert all(math.copysign(1.0, c) == 1.0 for c in scalar.coeffs[1:])
+
+    def test_public_constructor_refuses_bad_values(self):
+        sig = Signature(1, 0)
+        for ring, bad in ((RATIONAL, True), (RATIONAL, 0.5), (FLOAT64, 10**400)):
+            with pytest.raises((RingMismatchError, NonFiniteError)):
+                Multivector(sig, [bad, 0], ring)
+            with pytest.raises((RingMismatchError, NonFiniteError)):
+                Multivector.from_terms(sig, {1: bad}, ring)
+            with pytest.raises((RingMismatchError, NonFiniteError)):
+                Multivector.scalar(sig, bad, ring)
+
+
+def test_kernel_results_are_not_coerced(rng, monkeypatch):
+    # Only the public constructors coerce, one call per value given:
+    # kernel results on sparse rational elements at n = 10 make O(1)
+    # calls each, not one per coefficient.
+    sig = Signature(5, 5)
+    u, v = _frac_mv(sig, rng, 5), _frac_mv(sig, rng, 5)
+    calls = [0]
+    coerce = algebra._coerce
+
+    def counted(value, ring):
+        calls[0] += 1
+        return coerce(value, ring)
+
+    monkeypatch.setattr(algebra, "_coerce", counted)
+    for op in (
+        lambda: u * v, lambda: u + v, lambda: u - v, lambda: u.tilde(),
+        lambda: u.scale(Fraction(3, 2)),
+    ):
+        calls[0] = 0
+        op()
+        assert calls[0] <= 1
+    calls[0] = 0
+    data = char_poly(u)
+    assert len(data.iterates) == sig.charpoly_degree
+    assert calls[0] <= 2 * sig.charpoly_degree < sig.ncoeffs

@@ -19,7 +19,7 @@ from gasylv import (
     parse_multivector,
 )
 from gasylv.cli import main
-from gasylv.sylvester import METHODS
+from gasylv.sylvester import METHODS, _methods_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,6 +162,22 @@ class TestSolve:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("method", _methods_for(1))
+    def test_float_overflow_of_q_exit_code(self, capsys, method):
+        # Q = 1e400 overflows: the recursions exit 3, the closed form
+        # answers with a warning; no method reports a usage error.
+        code, out, err = run(
+            capsys, "solve", "--signature", "1,0", "--scalar", "f64",
+            "--a", "1" + "0" * 200 + ".0", "--b", "0.0", "--c", "1.0",
+            "--method", method,
+        )
+        if method.startswith("general"):
+            assert code == 3
+            assert err.startswith("error:")
+        else:
+            assert code == 0
+            assert "low confidence" in out
 
     @pytest.mark.parametrize("literal", ["1" + "0" * 400 + ".0", "1/0"])
     def test_non_finite_literal_exit_code(self, capsys, literal):

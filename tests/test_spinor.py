@@ -7,6 +7,7 @@ import pytest
 
 from gasylv import (
     FLOAT64,
+    InternalError,
     Multivector,
     Signature,
     SylvesterProblem,
@@ -56,6 +57,15 @@ def test_round_trip_is_exact(sig, rng):
     v = random_mv(sig, rng)
     assert (m - SpinorMatrix.of(v)).multivector() == u - v
     assert (m + SpinorMatrix.of(v).scale(3)).multivector() == u + v.scale(3)
+
+
+def test_a_fraction_element_is_refused():
+    # The matrices hold integers; a fraction element enters scaled.
+    sig = Signature(3, 3)
+    half = Multivector.from_terms(sig, {0: Fraction(1, 2), 5: 1})
+    with pytest.raises(InternalError):
+        SpinorMatrix.of(half)
+    assert SpinorMatrix.of(half.scale(2)).multivector(2) == half
 
 
 @pytest.mark.parametrize("sig", all_signatures(7, 3), ids=repr)

@@ -10,6 +10,7 @@ from gasylv import (
     METHODS,
     Multivector,
     NonFiniteError,
+    NumericalDegradationError,
     ResidualCheckFailedError,
     Signature,
     SignatureMismatchError,
@@ -336,15 +337,14 @@ class TestIntegerCore:
             assert x == brute_force_sylvester(prob)
 
     def test_corrupted_numerator_fails_the_exact_check(self, rng, monkeypatch):
-        # The exact check runs on the integer numerator M before the one
+        # The exact check runs on the numerator M before the one
         # division; a wrong M must not get through it.
         prob = solvable_problem(Signature(1, 3), rng, -3, 3)
         frac = SylvesterProblem(prob.a / 3, prob.b / 3, prob.c / 5)
         checked = sylvester._verified_x
 
-        def corrupted(prob, work, m, *rest):
-            assert all(isinstance(c, int) for c in m.coeffs)
-            return checked(prob, work, m + Multivector.scalar(m.sig, 1), *rest)
+        def corrupted(prob, m, *rest):
+            return checked(prob, m + Multivector.scalar(m.sig, 1), *rest)
 
         monkeypatch.setattr(sylvester, "_verified_x", corrupted)
         for p in (prob, frac):
@@ -405,6 +405,23 @@ class TestFloatMode:
         sol = solve(SylvesterProblem(a, b, c))
         assert math.isnan(sol.residual)
         assert sol.low_confidence
+
+    @pytest.mark.parametrize("sig, a, b", [
+        (Signature(1, 0), 1e200, 0.0), (Signature(2, 1), 1e100, 1.0),
+    ], ids=repr)
+    def test_overflow_is_refused_or_flagged(self, sig, a, b):
+        # An overflow of D or Q is the method's numerical failure, never
+        # the NonFiniteError of a non-finite input: the recursions refuse
+        # it, and a closed form flags its answer.
+        prob = SylvesterProblem(*(
+            Multivector.scalar(sig, v, FLOAT64) for v in (a, b, 1.0)
+        ))
+        for method in _methods_for(sig.dim):
+            if method in (sylvester.GENERAL, sylvester.GENERAL_ODD):
+                with pytest.raises(NumericalDegradationError):
+                    solve(prob, method=method)
+            else:
+                assert solve(prob, method=method).low_confidence
 
     def test_float_singular_detection(self):
         sig = Signature(1, 2)
