@@ -8,7 +8,7 @@ over one positive denominator in lowest terms, so products and sums run
 on ints with one gcd per result; a float element is its floats over 1.
 Only the public constructors coerce values; kernel results go through
 _build.  Denominators are this module's alone, but for the conversion
-of a problem into integer spinor matrices in sylvester._recursion.
+of a problem into integer spinor matrices in sylvester._solve.
 """
 
 from __future__ import annotations

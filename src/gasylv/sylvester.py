@@ -1,15 +1,19 @@
 """Basis-free solvers for the Sylvester equation AX - XB = C in Cl(p,q).
 
-Closed forms exist for n = 1..5; arbitrary n is handled by assembling
-D = phi_B(A) (the characteristic polynomial of B evaluated at A) and a
-matching right-hand combination F, so that D X = F, then inverting D by
-its own characteristic-polynomial recursion.  For odd n a half-length
-variant builds D and F the same way from the N/2 generalized central
-coefficients; both read the differences B_(k) - c_(k) the recursion
-formed.  One table states the n each method accepts; the default is the
-first method accepting n.  At odd n the full phi_B(A) can vanish on a
-problem that is not singular, so a zero Q from general is retried with
-general_odd.
+Every method runs one core (_solve).  It assembles D = phi_B(A), the
+characteristic polynomial of B evaluated at A, and a matching
+right-hand combination F with D X = F, from the coefficients c_(k) of
+a Faddeev-LeVerrier recursion on B and its differences
+B_(k) - c_(k); then it inverts D.  The general recursion takes all N
+coefficients of B, the odd-n one the N/2 generalized central ones.  The
+closed forms for n = 1..5 are that same recursion with its differences
+written as the paper's conjugation products of B; the coefficients
+follow from them.  The recursions invert D by its own characteristic
+polynomial, the closed forms by the closed adjugate of their
+dimension.  One table states the n each method accepts; the default is
+the first method accepting n.  At odd n the full phi_B(A) can vanish on
+a problem that is not singular, so a zero Q from general is retried
+with general_odd.
 
 The recursions run on one of two kernels, chosen from the problem alone
 (_spinor.pays_off): the blade loop of Multivector, or, for dense
@@ -24,12 +28,12 @@ denominator, so every product and sum of a method is integer arithmetic
 with one gcd per result.  The residual is checked on the numerator
 M = Adj(D)F as AM - MB - QC = 0, which is Q times AX - XB - C, and
 X = M / Q is the one division.  The spinor matrices hold integers only;
-_recursion alone scales into them and back (see there).
+_solve alone scales into them and back (see there).
 
-A float answer is flagged low_confidence when its residual is not within
-RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max norm.  A float D
-or Q that overflows in a recursion is refused with
-NumericalDegradationError; a closed form flags its answer instead.
+A float answer is flagged low_confidence when its residual is not
+finite or not within RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max
+norm.  A float D or Q that overflows is refused with
+NumericalDegradationError, under every method.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ CLOSED_N4_V2 = "closed_n4_v2"
 CLOSED_N5 = "closed_n5"
 GENERAL = "general"
 GENERAL_ODD = "general_odd"
+_RECURSIONS = (GENERAL, GENERAL_ODD)
 
 @dataclass(frozen=True)
 class SylvesterProblem:
@@ -151,34 +156,48 @@ def build_F_general(a, b, c):
     return _assemble_f(_powers(a, data.degree - 1), c, data.differences)
 
 
-def _recursion(prob, method):
-    """D, F, M and Q, X = M / Q, for the recursions: all N coefficients
-    of B (general) or the N/2 central ones (general_odd), on spinor
-    matrices where they pay off.  From the recursion on D,
-    M = differences[-1] F = -Adj(D) F and Q = b_N = -Det(D).  The
-    matrices hold integers: A, B and C enter times the lcm L of their
-    denominators, and D and F, of degree len(data.coeffs), leave divided
-    by L to that degree, M and Q by L to N times it."""
-    a, b, c = prob.a, prob.b, prob.c
-    spinor = _spinor.pays_off(a, b)
-    if spinor:
-        scale = lcm(a._den, b._den, c._den)
-        a, b, c = (_spinor.SpinorMatrix.of(u.scale(scale)) for u in (a, b, c))
-    data = char_poly(b) if method == GENERAL else generalized_coeffs(b)
-    pw = _powers(a, len(data.coeffs))
-    d = _assemble_d(pw, data.coeffs)
-    f = _assemble_f(pw, c, data.differences)
-    if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
-        raise NumericalDegradationError("D = phi_B(A) overflows")
-    inv = char_poly(d)
-    m = inv.differences[-1] * f
-    q = inv.coeffs[-1]
-    if spinor:
-        d_scale = scale ** len(data.coeffs)
-        m_scale = d_scale ** prob.sig.charpoly_degree
-        d, f, m = d.multivector(d_scale), f.multivector(d_scale), m.multivector(m_scale)
-        q = _value(q, m_scale)
-    return d, f, m, q
+def _closed_differences(b, method):
+    """The differences e_k = B_(k) - c_(k) of a closed form, as the
+    paper's conjugation products of B; at n = 4, 5 from the tilde/sharp
+    list or (closed_n4_v1) the hat-tilde/natural one."""
+    if method == CLOSED_N1:
+        return ()
+    if method in (CLOSED_N2, CLOSED_N3):
+        return (-b.tilde().hat(),)
+    t2 = conjugate(b.hat(), "triangle")
+    if method == CLOSED_N4_V1:
+        t1, t3, top = b.tilde().hat(), conjugate(b.tilde(), "triangle"), natural(b)
+    else:
+        t1, t3, top = b.tilde(), conjugate(b.hat().tilde(), "triangle"), sharp(b)
+    return (-(t1 + t2 + t3), t1 * t2 + t1 * t3 + top, -(t1 * top))
+
+
+def _coefficients(b, method):
+    """B's coefficients c_(k) and differences e_k = B_(k) - c_(k) for a
+    method.  The recursions run their Faddeev-LeVerrier recursion; a
+    closed form states its differences, and its coefficients follow from
+    the same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L)."""
+    if method in _RECURSIONS:
+        data = char_poly(b) if method == GENERAL else generalized_coeffs(b)
+        return data.coeffs, data.differences
+    differences = _closed_differences(b, method)
+    coeffs, cur = [], b
+    for diff in differences:
+        coeffs.append(cur - diff)
+        cur = b * diff
+    return (*coeffs, cur), differences
+
+
+def _adjugate(d, method):
+    """(Adj, Q) with D Adj = Q e.  The recursions take differences[-1]
+    and b_N of the characteristic polynomial of D, which are -Adj(D) and
+    -Det(D); closed_n4_v2 takes tilde(D) sharp(D), and the other closed
+    forms the closed adjugate of their dimension."""
+    if method in _RECURSIONS:
+        inv = char_poly(d)
+        return inv.differences[-1], inv.coeffs[-1]
+    adj = d.tilde() * sharp(d) if method == CLOSED_N4_V2 else _closed_adjugate(d)
+    return adj, _as_scalar(d * adj, d)
 
 
 def solve_general(prob):
@@ -190,7 +209,7 @@ def solve_general(prob):
     general_odd, whose Q, D and F it carries.
     """
     try:
-        return _solve(prob, GENERAL, _recursion)
+        return _solve(prob, GENERAL)
     except SingularProblemError:
         if prob.sig.dim % 2 == 0:
             raise
@@ -200,66 +219,14 @@ def solve_general(prob):
 def solve_general_odd(prob):
     """Half-length variant for odd n: D and F come from the N/2
     generalized central coefficients of B."""
-    return _solve(prob, GENERAL_ODD, _recursion)
-
-
-def _quartic_d_f(a, b, c, use_sharp):
-    """Shared degree-4 assembly of D and F for n = 4 and n = 5.
-
-    use_sharp selects the tilde/sharp coefficient list; otherwise the
-    hat-tilde/natural list is used.
-    """
-    if use_sharp:
-        t1 = b.tilde()
-        t2 = conjugate(b.hat(), "triangle")
-        t3 = conjugate(b.hat().tilde(), "triangle")
-        top = sharp(b)
-    else:
-        t1 = b.tilde().hat()
-        t2 = conjugate(b.hat(), "triangle")
-        t3 = conjugate(b.tilde(), "triangle")
-        top = natural(b)
-    pw = _powers(a, 4)
-    comb1 = b + t1 + t2 + t3
-    comb2 = b * t1 + b * t2 + b * t3 + t1 * t2 + t1 * t3 + top
-    comb3 = b * t1 * t2 + b * t1 * t3 + b * top + t1 * top
-    comb4 = b * t1 * top
-    d = pw[4] - pw[3] * comb1 + pw[2] * comb2 - pw[1] * comb3 + comb4
-    f = (
-        pw[3] * c
-        - pw[2] * c * (t1 + t2 + t3)
-        + pw[1] * c * (t1 * t2 + t1 * t3 + top)
-        - c * t1 * top
-    )
-    return d, f
+    return _solve(prob, GENERAL_ODD)
 
 
 def solve_closed(prob, variant):
-    """Dispatch the per-dimension closed-form solutions."""
-    return _solve(prob, variant, _closed_form)
-
-
-def _closed_form(prob, variant):
-    """D, F, M = Adj(D) F and Q = Det(D) for a closed form.  Every variant but
-    closed_n4_v2 inverts D by the closed adjugate of its dimension."""
-    a, b, c = prob.a, prob.b, prob.c
-    if variant == CLOSED_N1:
-        d = a - b
-        rhs = c
-    elif variant in (CLOSED_N2, CLOSED_N3):
-        bth = b.tilde().hat()
-        d = a * a - (b + bth) * a + b * bth
-        rhs = a * c - c * bth
-    elif variant in (CLOSED_N4_V1, CLOSED_N4_V2, CLOSED_N5):
-        d, rhs = _quartic_d_f(a, b, c, variant != CLOSED_N4_V1)
-    else:
+    """Solve by the closed form of one dimension, n <= 5."""
+    if variant in _RECURSIONS:
         raise ValueError(f"{variant!r} is not a closed-form variant")
-    if variant == CLOSED_N4_V2:
-        adj = d.tilde() * sharp(d)
-    else:
-        adj = _closed_adjugate(d)
-    q = _as_scalar(d * adj, d)
-    return d, rhs, adj * rhs, q
+    return _solve(prob, variant)
 
 
 # Each method and the n it accepts; solve defaults to the first method
@@ -305,18 +272,44 @@ def _verified_x(prob, m, q, method):
         + prob.a.max_abs_coeff() * norm_x
         + norm_x * prob.b.max_abs_coeff()
     )
-    return x, residual, not residual <= bound
+    # The bound itself can overflow to inf; an inf residual still fails.
+    return x, residual, not (isfinite(residual) and residual <= bound)
 
 
-def _solve(prob, method, core):
-    """Entry and exit shared by every solver: check that the method
-    accepts n, run core(prob, method) -> (D, F, M, Q), check and divide
-    once."""
+def _solve(prob, method):
+    """The one core of every method: D = phi_B(A) and F from B's
+    coefficients and differences, M = Adj(D) F and Q, checked and
+    divided once.  An f64 D or Q that overflows is refused.
+
+    The recursions run on spinor matrices where they pay off (n >= 6, so
+    never a closed form).  The matrices hold integers: A, B and C enter
+    times the lcm L of their denominators, and D and F, of degree
+    len(coeffs), leave divided by L to that degree, M and Q by L to N
+    times it."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     if prob.sig.dim not in _METHOD_TABLE[method]:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
-    d, f, m, q = core(prob, method)
+    a, b, c = prob.a, prob.b, prob.c
+    spinor = _spinor.pays_off(a, b)
+    if spinor:
+        scale = lcm(a._den, b._den, c._den)
+        a, b, c = (_spinor.SpinorMatrix.of(u.scale(scale)) for u in (a, b, c))
+    coeffs, differences = _coefficients(b, method)
+    pw = _powers(a, len(coeffs))
+    d = _assemble_d(pw, coeffs)
+    f = _assemble_f(pw, c, differences)
+    if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
+        raise NumericalDegradationError("D = phi_B(A) overflows")
+    adj, q = _adjugate(d, method)
+    if d.ring == FLOAT64 and not isfinite(q):
+        raise NumericalDegradationError("Q overflows")
+    m = adj * f
+    if spinor:
+        d_scale = scale ** len(coeffs)
+        m_scale = d_scale ** prob.sig.charpoly_degree
+        d, f, m = d.multivector(d_scale), f.multivector(d_scale), m.multivector(m_scale)
+        q = _value(q, m_scale)
     if is_zero_scalar(q, d):
         raise SingularProblemError(q, d)
     x, residual, low_confidence = _verified_x(prob, m, q, method)

@@ -165,19 +165,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", _methods_for(1))
     def test_float_overflow_of_q_exit_code(self, capsys, method):
-        # Q = 1e400 overflows: the recursions exit 3, the closed form
-        # answers with a warning; no method reports a usage error.
+        # Q = 1e400 overflows: every method exits 3, the closed form as
+        # the recursions; none reports a usage error.
         code, out, err = run(
             capsys, "solve", "--signature", "1,0", "--scalar", "f64",
             "--a", "1" + "0" * 200 + ".0", "--b", "0.0", "--c", "1.0",
             "--method", method,
         )
-        if method.startswith("general"):
-            assert code == 3
-            assert err.startswith("error:")
-        else:
-            assert code == 0
-            assert "low confidence" in out
+        assert code == 3
+        assert err.startswith("error:")
+
+    def test_infinite_residual_is_flagged(self, capsys):
+        # X = 1e308 is right, but its residual and its bound both
+        # overflow to inf: the answer is printed with the warning.
+        code, out, _ = run(
+            capsys, "solve", "--signature", "1,0", "--scalar", "f64",
+            "--a", "2.0", "--b", "1.0", "--c", "1" + "0" * 308 + ".0",
+        )
+        assert code == 0
+        assert "residual = inf" in out
+        assert "low confidence" in out
 
     @pytest.mark.parametrize("literal", ["1" + "0" * 400 + ".0", "1/0"])
     def test_non_finite_literal_exit_code(self, capsys, literal):

@@ -18,7 +18,9 @@ from gasylv import (
     SingularProblemError,
     SylvesterProblem,
     adjugate,
+    char_poly,
     determinant,
+    generalized_coeffs,
     inverse,
     load_coeff_lines,
     parse_multivector,
@@ -233,6 +235,80 @@ class TestGeneralAssembly:
         assert build_D_general(b, b).is_zero()
 
 
+def _frac_mv(sig, rng):
+    return Multivector(sig, [
+        Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(sig.ncoeffs)
+    ])
+
+
+_CLOSED = [m for m in METHODS if m.startswith("closed_")]
+
+
+class TestClosedFormsAreTheRecursion:
+    # A closed form states the differences B_(k) - c_(k) as conjugation
+    # products of B; they are those of the full recursion at even n and
+    # of the central one at odd n, and so are the coefficients.
+    def test_differences_and_coefficients(self, rng):
+        for sig in all_signatures(5):
+            closed = [m for m in _methods_for(sig.dim) if m in _CLOSED]
+            for make in (random_mv, _frac_mv):
+                for _ in range(3):
+                    b = make(sig, rng)
+                    if sig.dim % 2:
+                        ref = generalized_coeffs(b)
+                        coeffs = ref.coeffs
+                    else:
+                        ref = char_poly(b)
+                        coeffs = tuple(Multivector.scalar(sig, c) for c in ref.coeffs)
+                    for method in closed:
+                        got = sylvester._coefficients(b, method)
+                        assert got == (coeffs, ref.differences), (sig, method)
+
+    def test_d_and_f_are_those_of_the_recursion(self, rng):
+        for sig in all_signatures(5):
+            recursion = "general_odd" if sig.dim % 2 else "general"
+            for den_a, den_b in ((1, 1), (5, 3)):
+                prob = solvable_problem(sig, rng, -3, 3)
+                prob = SylvesterProblem(prob.a / den_a, prob.b / den_b, prob.c)
+                try:
+                    ref = solve(prob, method=recursion)
+                except SingularProblemError:
+                    continue
+                for method in _methods_for(sig.dim):
+                    if method in _CLOSED:
+                        sol = solve(prob, method=method)
+                        assert (sol.d, sol.f, sol.x) == (ref.d, ref.f, ref.x)
+
+    def test_solve_closed_refuses_the_recursions(self, rng):
+        prob, _ = planted_problem(Signature(2, 1), rng)
+        for method in ("general", "general_odd"):
+            with pytest.raises(ValueError):
+                solve_closed(prob, method)
+
+    @pytest.mark.parametrize("method, most", [
+        ("closed_n4_v1", 28), ("closed_n4_v2", 28), ("closed_n5", 32),
+    ])
+    def test_products_per_dense_solve(self, rng, monkeypatch, method, most):
+        # Multivector x Multivector products of one dense solve, the
+        # residual check included; a scalar factor only scales.
+        sig = Signature(2, 3 if method == "closed_n5" else 2)
+        prob = SylvesterProblem(*(
+            Multivector(sig, [rng.choice((-3, -2, -1, 1, 2, 3))
+                              for _ in range(sig.ncoeffs)])
+            for _ in range(3)
+        ))
+        calls = [0]
+        mul = Multivector.__mul__
+
+        def counted(u, v):
+            calls[0] += isinstance(v, Multivector)
+            return mul(u, v)
+
+        monkeypatch.setattr(Multivector, "__mul__", counted)
+        solve(prob, method=method)
+        assert calls[0] <= most
+
+
 class TestRegressionFixtures:
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_frozen_solutions(self, name):
@@ -396,14 +472,25 @@ class TestFloatMode:
                 SylvesterProblem(*args)
 
     def test_non_finite_residual_is_flagged(self):
-        # Q overflows to inf and so does the numerator: X = inf/inf is
-        # NaN, and a NaN residual must never pass as confident.
+        # Q overflows to inf and so does the numerator, so X = inf/inf
+        # would be NaN: the answer is refused, which is stricter than
+        # the flag that a non-finite residual gets.
         sig = Signature(1, 0)
         a = Multivector(sig, [1e155, 1.0], FLOAT64)
         b = Multivector(sig, [0.0, 1.0], FLOAT64)
         c = Multivector(sig, [1e300, 0.0], FLOAT64)
+        with pytest.raises(NumericalDegradationError):
+            solve(SylvesterProblem(a, b, c))
+
+    def test_infinite_residual_is_flagged(self):
+        # X = 1e308 is right, but AX - XB - C overflows to inf, and so
+        # does the bound 1e-8 (1 + |A||X| + |X||B|); inf <= inf must not
+        # pass as confident.
+        sig = Signature(1, 0)
+        a, b, c = (Multivector.scalar(sig, v, FLOAT64) for v in (2.0, 1.0, 1e308))
         sol = solve(SylvesterProblem(a, b, c))
-        assert math.isnan(sol.residual)
+        assert sol.x == c
+        assert sol.residual == math.inf
         assert sol.low_confidence
 
     @pytest.mark.parametrize("sig, a, b", [
@@ -411,17 +498,14 @@ class TestFloatMode:
     ], ids=repr)
     def test_overflow_is_refused_or_flagged(self, sig, a, b):
         # An overflow of D or Q is the method's numerical failure, never
-        # the NonFiniteError of a non-finite input: the recursions refuse
-        # it, and a closed form flags its answer.
+        # the NonFiniteError of a non-finite input: every method refuses
+        # it, the closed forms as the recursions do.
         prob = SylvesterProblem(*(
             Multivector.scalar(sig, v, FLOAT64) for v in (a, b, 1.0)
         ))
         for method in _methods_for(sig.dim):
-            if method in (sylvester.GENERAL, sylvester.GENERAL_ODD):
-                with pytest.raises(NumericalDegradationError):
-                    solve(prob, method=method)
-            else:
-                assert solve(prob, method=method).low_confidence
+            with pytest.raises(NumericalDegradationError):
+                solve(prob, method=method)
 
     def test_float_singular_detection(self):
         sig = Signature(1, 2)
