@@ -1,8 +1,8 @@
-"""Exact spinor-matrix images of Cl(p,q): the kernel of dense recursions.
+"""Spinor-matrix images of Cl(p,q): the kernel of dense recursions.
 
-The complex spinor representation maps Cl(p,q) faithfully into
-Gaussian-integer matrices, with N = 2**ceil(n/2): one N x N block at even
-n, two N/2 x N/2 blocks at odd n.  The generators are Jordan-Wigner Pauli
+The complex spinor representation maps Cl(p,q) faithfully into complex
+matrices, with N = 2**ceil(n/2): one N x N block at even n, two
+N/2 x N/2 blocks at odd n.  The generators are Jordan-Wigner Pauli
 strings on m = floor(n/2) qubits, times i where the generator squares
 to -1; at odd n one generator is Z...Z, with opposite signs in the two
 blocks, so that the pseudoscalar tells them apart.  Where the
@@ -24,9 +24,17 @@ part Re tr / N, the grade-0 and (odd n) grade-n projections from the
 block traces, and the scalar constructor.  A central element is kept as
 one Gaussian scalar per block, so a product with it is a blockwise
 scaling.  Blocks are flat row-major lists of real and imaginary parts,
-the imaginary list None where it is zero.  The entries are integers:
+the imaginary list None where it is zero.  A matrix carries the ring of
+the element it was made from.  Rational entries are integers:
 SpinorMatrix.of refuses an element with a denominator, and the
-preimage leaves its division by N to the algebra's constructor.
+preimage leaves its division by N to the algebra's constructor.  Float
+entries are floats, and the preimage divides by N, a power of two.
+
+In floats the imaginary part of a preimage is rounding, so it is
+dropped; the exact ring requires it to vanish.  The norms that float
+tolerances read (max_abs_coeff, nonscalar_norm) are blade coefficients
+of the preimage, as for a Multivector: an entry is a sum of N of them.
+A matrix computes its undivided preimage at most once.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .algebra import RATIONAL, _build, _value
+from .algebra import FLOAT64, RATIONAL, _build, _value
 from .errors import InternalError
 
 # The matrices pay off from this n, and once nnz(A) nnz(B) reaches
@@ -48,11 +56,11 @@ MIN_PAIRS = 64
 
 def pays_off(a, b):
     """Whether the recursions of AX - XB = C run faster on the spinor
-    matrices of A and B than on their blades.  The blade loop skips zero
-    coefficients, and the recursions on sparse operands stay sparse, so
-    the matrices are used only for rational operands that are dense
-    enough."""
-    if a.ring != RATIONAL or a.sig.dim < MIN_DIM:
+    matrices of A and B than on their blades, in either ring.  The blade
+    loop skips zero coefficients, and the recursions on sparse operands
+    stay sparse, so the matrices are used only for operands that are
+    dense enough."""
+    if a.sig.dim < MIN_DIM:
         return False
     nnz_a = len(a._num) - a._num.count(0)
     nnz_b = len(b._num) - b._num.count(0)
@@ -126,6 +134,11 @@ def _exact(value):
     return value
 
 
+def _entry(value, ring):
+    """A scalar as a matrix entry of the ring."""
+    return float(value) if ring == FLOAT64 else _exact(value)
+
+
 def _matmul(a, b, s):
     """Product of two flat s x s matrices."""
     rows = [a[i:i + s] for i in range(0, s * s, s)]
@@ -179,30 +192,36 @@ def _block_sum(u, v, op):
 
 
 class SpinorMatrix:
-    """Image of an element of Cl(p,q) over the integers, never changed
-    once made: Gaussian blocks, or one Gaussian scalar per block for a
-    central element."""
+    """Image of an element of Cl(p,q) over the integers or the floats,
+    never changed once made: Gaussian blocks, or one Gaussian scalar per
+    block for a central element.  The preimage is computed once, on
+    demand."""
 
-    __slots__ = ("rep", "blocks", "center")
+    __slots__ = ("rep", "ring", "blocks", "center", "_preimage")
 
-    ring = RATIONAL
-
-    def __init__(self, rep, blocks=None, center=None):
+    def __init__(self, rep, ring, blocks=None, center=None):
         self.rep = rep
+        self.ring = ring
         self.blocks = blocks
         self.center = center
+        self._preimage = None
 
     @property
     def sig(self):
         return self.rep.sig
 
+    def _like(self, blocks=None, center=None):
+        """A matrix of the same signature and ring."""
+        return SpinorMatrix(self.rep, self.ring, blocks, center)
+
     # -- conversions -------------------------------------------------------
 
     @classmethod
     def of(cls, u):
-        """The image of a rational Multivector with integer coefficients."""
-        if u.ring != RATIONAL or u._den != 1:
-            raise InternalError("a spinor matrix holds integers only")
+        """The image of an f64 Multivector, or of a rational one with
+        integer coefficients."""
+        if u._den != 1:
+            raise InternalError("a rational spinor matrix holds integers only")
         rep = _representation(u.sig)
         area = rep.size * rep.size
         terms = [(a, c) for a, c in enumerate(u._num) if c]
@@ -220,18 +239,27 @@ class SpinorMatrix:
                     target[p] += sign * c
             re, im = parts
             blocks.append((re, im if any(im) else None))
-        return cls(rep, tuple(blocks))
+        return cls(rep, u.ring, tuple(blocks))
 
     @classmethod
     def scalar(cls, sig, value, ring=RATIONAL):
         rep = _representation(sig)
-        return cls(rep, center=((_exact(value), 0),) * rep.count)
+        return cls(rep, ring, center=((_entry(value, ring), 0),) * rep.count)
 
     def multivector(self, den=1):
-        """The preimage divided by den: coefficient A is
-        Re tr(image(e_A)**-1 M) / N.
-        The imaginary part must vanish, except on one block at odd n,
-        where it is the coefficient of e_A times the pseudoscalar."""
+        """The preimage divided by den; computed once for den = 1, which
+        the norms read."""
+        if den != 1:
+            return self._preimage_over(den)
+        if self._preimage is None:
+            self._preimage = self._preimage_over(1)
+        return self._preimage
+
+    def _preimage_over(self, den):
+        """Coefficient A is Re tr(image(e_A)**-1 M) / (N den).  The
+        imaginary part is the coefficient of e_A times the pseudoscalar
+        on one block at odd n, and rounding in floats; it must vanish
+        otherwise."""
         rep = self.rep
         blocks = self._dense().blocks
         gathered = [
@@ -244,6 +272,7 @@ class SpinorMatrix:
             ]
             for re, im in blocks
         ]
+        exact = self.ring == RATIONAL
         coeffs = []
         for a, (x, z, k) in enumerate(rep.blades):
             signs = rep.signs[z]
@@ -258,10 +287,12 @@ class SpinorMatrix:
             re, im = total
             for _ in range(k):
                 re, im = im, -re
-            if im and not rep.onto:
+            if exact and im and not rep.onto:
                 raise InternalError("spinor matrix outside the real algebra")
             coeffs.append(re)
-        return _build(rep.sig, RATIONAL, coeffs, rep.degree * den)
+        if exact:
+            return _build(rep.sig, RATIONAL, coeffs, rep.degree * den)
+        return _build(rep.sig, FLOAT64, [c / (rep.degree * den) for c in coeffs])
 
     def _dense(self):
         if self.center is None:
@@ -273,7 +304,7 @@ class SpinorMatrix:
             for p in self.rep.positions[0]:
                 re[p], im[p] = zr, zi
             blocks.append((re, im if zi else None))
-        return SpinorMatrix(self.rep, tuple(blocks))
+        return self._like(tuple(blocks))
 
     # -- ring operations ------------------------------------------------------
 
@@ -285,20 +316,20 @@ class SpinorMatrix:
         if other.center is not None:
             return self._times_center(other.center)
         s = self.rep.size
-        return SpinorMatrix(self.rep, tuple(
+        return self._like(tuple(
             _block_product(u, v, s) for u, v in zip(self.blocks, other.blocks)
         ))
 
     def scale(self, value):
-        value = _exact(value)
+        value = _entry(value, self.ring)
         return self._times_center(((value, 0),) * self.rep.count)
 
     def _times_center(self, center):
         if self.center is None:
-            return SpinorMatrix(self.rep, tuple(
+            return self._like(tuple(
                 _block_scaled(u, z) for u, z in zip(self.blocks, center)
             ))
-        return SpinorMatrix(self.rep, center=tuple(
+        return self._like(center=tuple(
             (_exact(ur * vr - ui * vi), _exact(ur * vi + ui * vr))
             for (ur, ui), (vr, vi) in zip(self.center, center)
         ))
@@ -314,16 +345,19 @@ class SpinorMatrix:
 
     def _plus(self, other, op):
         if self.center is not None and other.center is not None:
-            return SpinorMatrix(self.rep, center=tuple(
+            return self._like(center=tuple(
                 (_exact(op(ur, vr)), _exact(op(ui, vi)))
                 for (ur, ui), (vr, vi) in zip(self.center, other.center)
             ))
-        return SpinorMatrix(self.rep, tuple(
+        return self._like(tuple(
             _block_sum(u, v, op)
             for u, v in zip(self._dense().blocks, other._dense().blocks)
         ))
 
     # -- projections ------------------------------------------------------------
+
+    def _divide(self, num, den):
+        return num / den if self.ring == FLOAT64 else _value(num, den)
 
     def _block_values(self):
         """Per block the Gaussian scalar tr(block) / block size."""
@@ -333,8 +367,8 @@ class SpinorMatrix:
         s = self.rep.size
         return tuple(
             (
-                _value(sum(re[p] for p in diagonal), s),
-                0 if im is None else _value(sum(im[p] for p in diagonal), s),
+                self._divide(sum(re[p] for p in diagonal), s),
+                0 if im is None else self._divide(sum(im[p] for p in diagonal), s),
             )
             for re, im in self.blocks
         )
@@ -342,7 +376,7 @@ class SpinorMatrix:
     def scalar_part(self):
         """Re tr / N: the mean over the blocks of their block values."""
         values = self._block_values()
-        return _value(sum(zr for zr, _ in values), len(values))
+        return self._divide(sum(zr for zr, _ in values), len(values))
 
     def grade_project(self, k):
         """Grade 0, or at odd n grade n: what the block values hold
@@ -351,15 +385,30 @@ class SpinorMatrix:
         n = self.sig.dim
         alpha = self.scalar_part()
         if k == 0:
-            return SpinorMatrix(self.rep, center=((alpha, 0),) * self.rep.count)
+            return self._like(center=((alpha, 0),) * self.rep.count)
         if k == n and n & 1:
-            return SpinorMatrix(self.rep, center=tuple(
+            return self._like(center=tuple(
                 (_exact(zr - alpha), zi) for zr, zi in self._block_values()
             ))
         raise ValueError(f"no grade-{k} projection of a spinor matrix")
 
+    # -- norms, in blade coefficients --------------------------------------------
+
+    @property
+    def coeffs(self):
+        """The blade coefficients, which the f64 finiteness checks read."""
+        return self.multivector().coeffs
+
+    def max_abs_coeff(self):
+        return self.multivector().max_abs_coeff()
+
     def nonscalar_norm(self):
-        """Max absolute entry of M - (its scalar part) I."""
+        """Max absolute blade coefficient outside grade 0.  The exact ring
+        only tests it against zero, and takes the max absolute entry of
+        M - (its scalar part) I, which is zero exactly when it is and
+        needs no conversion."""
+        if self.ring == FLOAT64:
+            return self.multivector().nonscalar_norm()
         rest = (self - self.grade_project(0))._dense()
         return max(
             max(map(abs, part))

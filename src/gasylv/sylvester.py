@@ -17,18 +17,20 @@ with general_odd.
 
 The recursions run on one of two kernels, chosen from the problem alone
 (_spinor.pays_off): the blade loop of Multivector, or, for dense
-rational operands at n >= 6, the exact spinor matrices of _spinor,
-N x N Gaussian-integer matrices whose product costs O(N**3) against the
-blade loop's 4**n.  A, B and C are converted once on entry, and D, F and
-the numerator M once on exit; both kernels give the same D, F, M and Q.
+operands at n >= 6 in either ring, the spinor matrices of _spinor,
+N x N complex matrices whose product costs O(N**3) against the blade
+loop's 4**n.  A, B and C are converted once on entry, and D, F and the
+numerator M once on exit.  In the rational ring both kernels give the
+same D, F, M and Q; in f64 they differ by rounding, and the residual
+check judges either answer on the blades.
 
 In the rational ring every solve runs on integers without clearing
 anything first: a Multivector holds integer numerators over one
 denominator, so every product and sum of a method is integer arithmetic
 with one gcd per result.  The residual is checked on the numerator
 M = Adj(D)F as AM - MB - QC = 0, which is Q times AX - XB - C, and
-X = M / Q is the one division.  The spinor matrices hold integers only;
-_solve alone scales into them and back (see there).
+X = M / Q is the one division.  Rational spinor matrices hold integers
+only; _solve alone scales into them and back (see there).
 
 A float answer is flagged low_confidence when its residual is not
 finite or not within RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max
@@ -282,10 +284,10 @@ def _solve(prob, method):
     divided once.  An f64 D or Q that overflows is refused.
 
     The recursions run on spinor matrices where they pay off (n >= 6, so
-    never a closed form).  The matrices hold integers: A, B and C enter
-    times the lcm L of their denominators, and D and F, of degree
+    never a closed form).  Rational matrices hold integers: A, B and C
+    enter times the lcm L of their denominators, and D and F, of degree
     len(coeffs), leave divided by L to that degree, M and Q by L to N
-    times it."""
+    times it.  In f64, L is 1."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     if prob.sig.dim not in _METHOD_TABLE[method]:

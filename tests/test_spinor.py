@@ -1,6 +1,7 @@
 """The spinor-matrix kernel: a faithful homomorphism, the same D, F and Q
 as the blade kernel, and the rule that chooses between the two."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from gasylv import (
     FLOAT64,
     InternalError,
     Multivector,
+    NumericalDegradationError,
     Signature,
     SylvesterProblem,
     build_D_general,
@@ -16,6 +18,7 @@ from gasylv import (
     center_project,
     char_poly,
     solve,
+    verify_residual,
 )
 from gasylv import _spinor, sylvester
 from gasylv._spinor import SpinorMatrix
@@ -136,8 +139,96 @@ def test_selection_keeps_sparse_operands_on_blades(n, rng):
             for _ in range(2)
         )
         assert not _spinor.pays_off(a, b)
+        as_float = _as_float(a)
+        assert not _spinor.pays_off(as_float, as_float)
+    # The rule does not read the ring: dense f64 operands pay off too.
     dense = random_mv(sig, rng, 1, 3)
     assert _spinor.pays_off(dense, dense)
-    as_float = Multivector(sig, [float(c) for c in dense.coeffs], FLOAT64)
-    assert not _spinor.pays_off(as_float, as_float)
-    assert not _spinor.pays_off(*(random_mv(Signature(3, 2), rng, 1, 3),) * 2)
+    as_float = _as_float(dense)
+    assert _spinor.pays_off(as_float, as_float)
+    small = random_mv(Signature(3, 2), rng, 1, 3)
+    assert not _spinor.pays_off(small, small)
+    assert not _spinor.pays_off(_as_float(small), _as_float(small))
+
+
+def _as_float(u):
+    return Multivector(u.sig, [float(c) for c in u.coeffs], FLOAT64)
+
+
+@pytest.mark.parametrize("sig", all_signatures(8), ids=repr)
+def test_float_round_trip_is_exact(sig, rng):
+    # Integer-valued floats: every entry and trace is an exact sum, and
+    # the division by N is by a power of two.
+    u = _as_float(random_mv(sig, rng, -10**6, 10**6))
+    m = SpinorMatrix.of(u)
+    assert m.ring == FLOAT64
+    got = m.multivector()
+    assert got.ring == FLOAT64 and got == u
+    assert all(type(c) is float for c in got.coeffs)
+    assert m.scalar_part() == u.coeffs[0]
+    # The float tolerances read blade coefficients, not matrix entries.
+    assert m.max_abs_coeff() == u.max_abs_coeff()
+    assert m.nonscalar_norm() == u.nonscalar_norm()
+    assert (m * SpinorMatrix.scalar(sig, 3, FLOAT64)).multivector() == u.scale(3)
+
+
+def _dominant_f64(sig, rng, sign):
+    """Dense uniform terms of size < 1/2**n and a scalar part beyond
+    their sum: the spectra of A (sign 1) and B (sign -1) lie on
+    opposite sides of 0, and even general's Q at n = 7 stays finite."""
+    coeffs = [rng.uniform(-1, 1) / sig.ncoeffs for _ in range(sig.ncoeffs)]
+    coeffs[0] = sign * (1 + sum(map(abs, coeffs[1:])))
+    return Multivector(sig, coeffs, FLOAT64)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+def test_float_matrix_path_agrees_with_the_blades(sig, rng, monkeypatch):
+    prob = SylvesterProblem(
+        _dominant_f64(sig, rng, 1),
+        _dominant_f64(sig, rng, -1),
+        _as_float(random_mv(sig, rng, -3, 3)),
+    )
+    assert _spinor.pays_off(prob.a, prob.b)
+    methods = [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2)
+    matrix = [solve(prob, method) for method in methods]
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    blade = [solve(prob, method) for method in methods]
+    for got, want in zip(matrix, blade):
+        assert got.method == want.method
+        assert not got.low_confidence and not want.low_confidence
+        size = want.x.max_abs_coeff()
+        assert max(
+            abs(g - w) for g, w in zip(got.x.coeffs, want.x.coeffs)
+        ) <= 1e-9 * size
+
+
+def test_float_overflow_of_d_is_refused_on_the_matrix_path(rng):
+    sig = Signature(3, 3)
+    big = Multivector(
+        sig, [rng.uniform(-1, 1) * 1e40 for _ in range(sig.ncoeffs)], FLOAT64
+    )
+    small = _as_float(random_mv(sig, rng, -3, 3))
+    assert _spinor.pays_off(big, small)
+    with pytest.raises(NumericalDegradationError, match="D = phi_B"):
+        solve(SylvesterProblem(big, small, small))
+
+
+def test_plain_uniform_float_problems_are_answered():
+    # The imaginary part of a float preimage is rounding: it must not
+    # raise InternalError.  Cl(2,4) has complex images.  The blades
+    # answer these 20 problems, 4 of them flagged.
+    rng = random.Random(1)
+    sig = Signature(2, 4)
+    for _ in range(20):
+        prob = SylvesterProblem(*(
+            Multivector(
+                sig, [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)], FLOAT64
+            )
+            for _ in range(3)
+        ))
+        assert _spinor.pays_off(prob.a, prob.b)
+        sol = solve(prob)
+        assert sol.method == sylvester.GENERAL
+        assert sol.residual == verify_residual(prob, sol.x)
