@@ -207,8 +207,9 @@ def _closed_adjugate(b):
     if n == 4:
         return b.tilde().hat() * natural(b)
     if n == 5:
-        core = b * b.tilde() * sharp(b)
-        return b.tilde() * sharp(b) * core.triangle()
+        bt, bs = b.tilde(), sharp(b)
+        core = b * bt * bs
+        return bt * bs * core.triangle()
     raise ValueError(f"no closed determinant form for n = {n}")
 
 

@@ -11,6 +11,7 @@ tolerances are fixed.  A literal that starts with '-' is passed in the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -215,8 +216,15 @@ _ERROR_CODES = (
 )
 
 
+@functools.cache
+def _main_parser():
+    # Building the tree costs most of a small call; parse_args keeps no
+    # state between calls, so one parser serves every main call.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
         # argparse strips a value of exactly '--' and stores an empty list.

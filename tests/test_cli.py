@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from gasylv import (
     load_coeff_lines,
     parse_multivector,
 )
-from gasylv.cli import main
+from gasylv.cli import build_parser, main
 from gasylv.sylvester import METHODS, _methods_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -314,6 +315,71 @@ class TestOtherCommands:
         else:
             assert got["X"] == f"(1/{got['Q']})({sevens})"
         assert sys.get_int_max_str_digits() == limit
+
+
+_SOLVE_N4 = [
+    "solve", "--signature", "2,2", "--a", "2 + e1", "--b", "-3 + e2", "--c", "1 + e3",
+]
+
+
+class TestNoStateBetweenCalls:
+    """main builds one parser per process; no call leaks into the next."""
+
+    def test_repeated_calls_build_no_parser(self, capsys, monkeypatch):
+        calls = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            calls[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argvs = [
+            _SOLVE_N4,
+            ["det", "--signature", "3,2", "--b", "2 + e1"],
+            ["inverse", "--signature", "2,0", "--b", "e1 + e2", "--decimal"],
+            ["charpoly", "--signature", "2,1", "--b", "1 + e2", "--generalized"],
+            ["det", "--signature", "1,1"],
+        ]
+        main(argvs[0])
+        calls[0] = 0
+        codes = [main(argvs[k % len(argvs)]) for k in range(20)]
+        capsys.readouterr()
+        assert calls[0] == 0
+        assert codes == [0, 0, 0, 0, 1] * 4
+        first = build_parser()
+        assert calls[0] > 0
+        assert build_parser() is not first
+
+    @pytest.mark.parametrize("before, after", [
+        (_SOLVE_N4 + ["--decimal"], _SOLVE_N4),
+        (_SOLVE_N4 + ["--format", "json"], _SOLVE_N4),
+        (_SOLVE_N4 + ["--method", "general"], _SOLVE_N4),
+        (
+            ["charpoly", "--signature", "2,1", "--b", "1 + e2", "--generalized"],
+            ["charpoly", "--signature", "2,1", "--b", "1 + e2"],
+        ),
+        (["solve", "--signature", "2,0", "--a", "1"], _SOLVE_N4),
+    ])
+    def test_second_call_is_as_if_alone(self, capsys, before, after):
+        alone = run(capsys, *after)
+        run(capsys, *before)
+        assert run(capsys, *after) == alone
+        code, out, err = alone
+        assert (code, err) == (0, "")
+        if after[0] == "solve":
+            assert "method: closed_n4_v2" in out
+            assert "X = (1/" in out
+        else:
+            assert out.startswith("b_1 = ") and "b'_" not in out
+
+    def test_usage_goes_to_the_current_stderr(self, capsys):
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["det", "--signature", "1,1"])
+        code, out, err = run(capsys, "det", "--signature", "1,1")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: gasylv det")
+        assert run(capsys, "det", "--signature", "1,1", "--b", "2")[0] == 0
 
 
 _TERMS = st.tuples(

@@ -286,7 +286,7 @@ class TestClosedFormsAreTheRecursion:
                 solve_closed(prob, method)
 
     @pytest.mark.parametrize("method, most", [
-        ("closed_n4_v1", 28), ("closed_n4_v2", 28), ("closed_n5", 32),
+        ("closed_n4_v1", 28), ("closed_n4_v2", 28), ("closed_n5", 31),
     ])
     def test_products_per_dense_solve(self, rng, monkeypatch, method, most):
         # Multivector x Multivector products of one dense solve, the
