@@ -16,7 +16,10 @@ Every blade image is a signed monomial matrix, stored as its Pauli
 string: three ints (x, z, k).  Its entry in row r sits in column r ^ x
 and is i**k (-1)**popcount(r & z), so the tables are O(2**n).  A product
 costs O(N**3) here against up to 4**n pair products in the blade loop,
-and a conversion either way O(2**n N).
+and a conversion either way O(2**n N).  The tables of a signature are
+verified once, when first built, against row-by-row products of explicit
+monomial matrices: the generator relations and every blade image.  So
+an exact answer can be checked by substitution on its images.
 
 SpinorMatrix offers what the Faddeev-LeVerrier recursion and the D and F
 assembly use of a Multivector: products, sums and scaling, the scalar
@@ -77,9 +80,10 @@ def _pauli_product(u, v):
 
 
 class _Representation:
-    """The tables of one signature: the blade images, the generator that
-    flips sign in the second block, and per column mask x and sign mask
-    z the flat positions and the row signs of a monomial matrix."""
+    """The tables of one signature: per kept block the blade images, and
+    per column mask x and sign mask z the flat positions and the row
+    signs of a monomial matrix.  Built once per signature and verified
+    then (_verify)."""
 
     def __init__(self, sig):
         n, m = sig.dim, sig.dim // 2
@@ -110,9 +114,16 @@ class _Representation:
         self.size = s
         self.count = 2 if n & 1 and not self.onto else 1
         self.degree = s * self.count
-        self.blades = tuple(blades)
-        # Z...Z is the only string with x = 0; none is used at even n.
-        self.flip = sum(1 << a for a, g in enumerate(generators) if not g[0])
+        # The second block negates Z...Z, the only string with x = 0 (none
+        # is used at even n), and so every blade that contains it.
+        flip = sum(1 << a for a, g in enumerate(generators) if not g[0])
+        tables = [tuple(blades)]
+        if self.count == 2:
+            tables.append(tuple(
+                (x, z, (k + 2 * (a & flip).bit_count()) & 3)
+                for a, (x, z, k) in enumerate(blades)
+            ))
+        self.blades = tuple(tables)
         self.positions = tuple(
             tuple(r * s + (r ^ x) for r in range(s)) for x in range(s)
         )
@@ -120,6 +131,67 @@ class _Representation:
             tuple(-1 if (r & z).bit_count() & 1 else 1 for r in range(s))
             for z in range(s)
         )
+        self._verify(generators, flip)
+
+    def _monomial(self, image):
+        """The signed Pauli string (x, z, k) as the explicit monomial
+        matrix that conversions read from the tables: per row, the
+        column of its one entry and that entry as a power of i."""
+        x, z, k = image
+        s = self.size
+        return (
+            tuple(p - r * s for r, p in enumerate(self.positions[x])),
+            tuple((k if sign > 0 else k + 2) & 3 for sign in self.signs[z]),
+        )
+
+    def _verify(self, generators, flip):
+        """Raise InternalError unless, in every kept block, the generator
+        images satisfy e_a e_b + e_b e_a = 2 eta_ab and every blade image
+        is the ordered product of its generators' images.  Products are
+        taken row by row on explicit monomial matrices, never through
+        _pauli_product.  Then the tables are a homomorphism, and a
+        faithful one: Cl(p,q) is simple at even n and wherever one block
+        is kept, and two blocks are kept only where the pseudoscalar
+        squares to +1, checked to be +1 on one block and -1 on the
+        other."""
+        sig, s = self.sig, self.size
+        identity = tuple(range(s))
+
+        def product(u, v):
+            (u_cols, u_powers), (v_cols, v_powers) = u, v
+            return (
+                tuple(v_cols[c] for c in u_cols),
+                tuple((k + v_powers[c]) & 3 for c, k in zip(u_cols, u_powers)),
+            )
+
+        for second, table in enumerate(self.blades):
+            images = [
+                self._monomial((x, z, k + 2 * (second and flip >> a & 1)))
+                for a, (x, z, k) in enumerate(generators)
+            ]
+            for a, image in enumerate(images):
+                square = 2 if a >= sig.p else 0
+                if product(image, image) != (identity, (square,) * s):
+                    raise InternalError(f"generator {a + 1} of {sig!r} squares wrongly")
+                for b in range(a):
+                    cols, powers = product(images[b], image)
+                    minus = (cols, tuple((k + 2) & 3 for k in powers))
+                    if product(image, images[b]) != minus:
+                        raise InternalError(
+                            f"generators {b + 1}, {a + 1} of {sig!r} do not anticommute"
+                        )
+            # By induction on the mask, e_A = e_(A less its top index) e_top.
+            if self._monomial(table[0]) != (identity, (0,) * s):
+                raise InternalError(f"the unit of {sig!r} has the wrong image")
+            for mask in range(1, len(table)):
+                top = mask.bit_length() - 1
+                want = product(self._monomial(table[mask ^ (1 << top)]), images[top])
+                if self._monomial(table[mask]) != want:
+                    raise InternalError(f"blade image {mask} of {sig!r} is wrong")
+        if self.count == 2 and {self._monomial(t[-1]) for t in self.blades} != {
+            (identity, (0,) * s), (identity, (2,) * s),
+        }:
+            raise InternalError(f"the two blocks of {sig!r} are not told apart")
 
 
 @lru_cache(maxsize=None)
@@ -226,13 +298,11 @@ class SpinorMatrix:
         area = rep.size * rep.size
         terms = [(a, c) for a, c in enumerate(u._num) if c]
         blocks = []
-        for second in range(rep.count):
+        for table in rep.blades:
             parts = ([0] * area, [0] * area)
             for a, c in terms:
-                x, z, k = rep.blades[a]
+                x, z, k = table[a]
                 if k & 2:
-                    c = -c
-                if second and (a & rep.flip).bit_count() & 1:
                     c = -c
                 target = parts[k & 1]
                 for p, sign in zip(rep.positions[x], rep.signs[z]):
@@ -274,11 +344,11 @@ class SpinorMatrix:
         ]
         exact = self.ring == RATIONAL
         coeffs = []
-        for a, (x, z, k) in enumerate(rep.blades):
+        for a, (x, z, k) in enumerate(rep.blades[0]):
             signs = rep.signs[z]
             total = [0, 0]
-            for second, rows in enumerate(gathered):
-                flip = second and (a & rep.flip).bit_count() & 1
+            for table, rows in zip(rep.blades, gathered):
+                flip = table[a][2] != k
                 for part, values in enumerate(rows[x]):
                     if values is not None:
                         t = sum(map(mul, signs, values))
@@ -391,6 +461,25 @@ class SpinorMatrix:
                 (_exact(zr - alpha), zi) for zr, zi in self._block_values()
             ))
         raise ValueError(f"no grade-{k} projection of a spinor matrix")
+
+    # -- the exact check ---------------------------------------------------------
+
+    def is_zero(self):
+        if self.center is not None:
+            return not any(zr or zi for zr, zi in self.center)
+        return not any(
+            any(part) for block in self.blocks for part in block if part is not None
+        )
+
+    def is_image(self):
+        """Whether an exact matrix is the image of its preimage: that
+        preimage exists, has integer coefficients and maps back onto
+        the matrix."""
+        try:
+            u = self.multivector()
+        except InternalError:
+            return False
+        return u._den == 1 and (SpinorMatrix.of(u) - self).is_zero()
 
     # -- norms, in blade coefficients --------------------------------------------
 

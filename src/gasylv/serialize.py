@@ -17,6 +17,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import FLOAT64, RATIONAL, Multivector, _grades
 from .errors import NonFiniteError, ParseError
@@ -47,7 +48,8 @@ def _blade_mask(indices, n, offset):
 def parse_multivector(text, sig, ring=RATIONAL):
     """Parse a multivector literal into Cl(sig.p, sig.q) over ring."""
     n = sig.dim
-    coeffs = [Fraction(0)] * sig.ncoeffs if ring == RATIONAL else [0.0] * sig.ncoeffs
+    zero = Fraction(0) if ring == RATIONAL else 0.0
+    terms = {}
     pos = 0
     length = len(text)
     first = True
@@ -117,19 +119,21 @@ def parse_multivector(text, sig, ring=RATIONAL):
             coef = Fraction(1) if ring == RATIONAL else 1.0
         if ring == FLOAT64:
             try:
-                value = coeffs[mask] + sign * float(coef)
+                value = terms.get(mask, zero) + sign * float(coef)
             except OverflowError:
                 value = math.inf
             if not math.isfinite(value):
                 raise ParseError("coefficient outside the f64 range", start)
-            coeffs[mask] = value
         else:
-            coeffs[mask] += sign * coef
+            value = terms.get(mask, zero) + sign * coef
+        terms[mask] = value
         first = False
         any_term = True
     if not any_term:
         raise ParseError("empty multivector literal", 0)
-    return Multivector(sig, coeffs, ring)
+    return Multivector.from_terms(
+        sig, {mask: value for mask, value in terms.items() if value}, ring
+    )
 
 
 def blade_name(mask, n):
@@ -179,15 +183,20 @@ def _coef_str(value, decimal):
     return _scalar_str(value)
 
 
+@lru_cache(maxsize=None)
+def _blade_order(n):
+    """The masks of Cl(p,q), n = p + q, in printing order (grade, mask)."""
+    grades = _grades(n)
+    return tuple(sorted(range(1 << n), key=lambda m: (grades[m], m)))
+
+
 def format_multivector(u, decimal=False):
     """Render in blade order (grade, mask); parses back to an equal
     multivector."""
     n = u.sig.dim
-    grades = _grades(n)
-    order = sorted(range(u.sig.ncoeffs), key=lambda m: (grades[m], m))
     coeffs = u.coeffs
     parts = []
-    for mask in order:
+    for mask in _blade_order(n):
         c = coeffs[mask]
         if not c:
             continue

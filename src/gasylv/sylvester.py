@@ -21,8 +21,9 @@ operands at n >= 6 in either ring, the spinor matrices of _spinor,
 N x N complex matrices whose product costs O(N**3) against the blade
 loop's 4**n.  A, B and C are converted once on entry, and D, F and the
 numerator M once on exit.  In the rational ring both kernels give the
-same D, F, M and Q; in f64 they differ by rounding, and the residual
-check judges either answer on the blades.
+same D, F, M and Q, and a matrix answer is checked on the matrices; in
+f64 they differ by rounding, and the residual check judges either
+answer on the blades, where the flag is defined.
 
 In the rational ring every solve runs on integers without clearing
 anything first: a Multivector holds integer numerators over one
@@ -278,6 +279,24 @@ def _verified_x(prob, m, q, method):
     return x, residual, not (isfinite(residual) and residual <= bound)
 
 
+def _image_checked_x(a, b, c, m, q, method):
+    """X = M / Q for the exact spinor images a, b, c of LA, LB, LC and
+    the numerator M and Q of that scaled problem, checked by
+    substitution on the matrices: aM - Mb - Qc = 0, and M the image of
+    its preimage.  The images are a faithful homomorphism, verified once
+    per signature by _spinor, so this is AM - MB - QC = 0 on the blades
+    times a power of L, at O(N**3) instead of 4**n."""
+    if not (a * m - m * b - c.scale(q)).is_zero():
+        raise ResidualCheckFailedError(
+            f"nonzero exact residual of the spinor images for method {method}"
+        )
+    if not m.is_image():
+        raise ResidualCheckFailedError(
+            f"the numerator of method {method} is not a spinor image"
+        )
+    return m.multivector() / q
+
+
 def _solve(prob, method):
     """The one core of every method: D = phi_B(A) and F from B's
     coefficients and differences, M = Adj(D) F and Q, checked and
@@ -287,7 +306,8 @@ def _solve(prob, method):
     never a closed form).  Rational matrices hold integers: A, B and C
     enter times the lcm L of their denominators, and D and F, of degree
     len(coeffs), leave divided by L to that degree, M and Q by L to N
-    times it.  In f64, L is 1."""
+    times it.  In f64, L is 1.  An exact answer with Q != 0 is checked on
+    the matrices (_image_checked_x); every other one on the blades."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     if prob.sig.dim not in _METHOD_TABLE[method]:
@@ -310,8 +330,11 @@ def _solve(prob, method):
     if spinor:
         d_scale = scale ** len(coeffs)
         m_scale = d_scale ** prob.sig.charpoly_degree
-        d, f, m = d.multivector(d_scale), f.multivector(d_scale), m.multivector(m_scale)
-        q = _value(q, m_scale)
+        d, f = d.multivector(d_scale), f.multivector(d_scale)
+        if prob.ring == RATIONAL and q:
+            x = _image_checked_x(a, b, c, m, q, method)
+            return SylvesterSolution(x, _value(q, m_scale), d, f, method, 0)
+        m, q = m.multivector(m_scale), _value(q, m_scale)
     if is_zero_scalar(q, d):
         raise SingularProblemError(q, d)
     x, residual, low_confidence = _verified_x(prob, m, q, method)

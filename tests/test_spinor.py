@@ -1,5 +1,6 @@
-"""The spinor-matrix kernel: a faithful homomorphism, the same D, F and Q
-as the blade kernel, and the rule that chooses between the two."""
+"""The spinor-matrix kernel: a faithful homomorphism, verified once per
+signature, the same D, F and Q as the blade kernel, the exact check of
+its answers on the images, and the rule that chooses between the two."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from gasylv import (
     InternalError,
     Multivector,
     NumericalDegradationError,
+    ResidualCheckFailedError,
     Signature,
     SylvesterProblem,
     build_D_general,
@@ -123,6 +125,136 @@ def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
     blade = [solve(prob, method) for method in methods]
     for got, want in zip(matrix, blade):
         assert _fields(got) == _fields(want)
+
+
+def _bump_pauli_product(monkeypatch, call):
+    """Make the call-th _pauli_product (counted from 1) wrong by a sign."""
+    product, calls = _spinor._pauli_product, []
+
+    def mutant(u, v):
+        x, z, k = product(u, v)
+        calls.append(1)
+        return x, z, (k + 2 * (len(calls) == call)) & 3
+
+    monkeypatch.setattr(_spinor, "_pauli_product", mutant)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+def test_a_wrong_blade_table_is_refused_when_built(sig, monkeypatch):
+    # _Representation is built afresh: _representation's cache is not
+    # consulted, so no wrong table is kept after the test.
+    _bump_pauli_product(monkeypatch, 0)
+    _spinor._Representation(sig)
+    for call in (1, 5, sig.ncoeffs - 1):
+        _bump_pauli_product(monkeypatch, call)
+        with pytest.raises(InternalError, match="blade image"):
+            _spinor._Representation(sig)
+    # Without its sign term every table above is wrong.
+    monkeypatch.setattr(
+        _spinor, "_pauli_product",
+        lambda u, v: (u[0] ^ v[0], u[1] ^ v[1], (u[2] + v[2]) & 3),
+    )
+    with pytest.raises(InternalError, match="blade image"):
+        _spinor._Representation(sig)
+
+
+def test_wrong_generator_relations_are_refused():
+    sig = Signature(3, 3)  # even n: one block, no generator flips sign
+    rep = _spinor._Representation(sig)
+    generators = [rep.blades[0][1 << a] for a in range(sig.dim)]
+    rep._verify(generators, 0)
+    x, z, k = generators[0]
+    squares = [(x, z, k + 1)] + generators[1:]
+    with pytest.raises(InternalError, match="squares wrongly"):
+        rep._verify(squares, 0)
+    commutes = generators[:1] + [generators[0]] + generators[2:]
+    with pytest.raises(InternalError, match="anticommute"):
+        rep._verify(commutes, 0)
+
+
+@pytest.mark.parametrize("sig", [Signature(3, 3), Signature(2, 4)], ids=repr)
+def test_only_images_pass_the_round_trip(sig, rng):
+    m = SpinorMatrix.of(random_mv(sig, rng))
+    assert m.is_image() and SpinorMatrix.scalar(sig, 5).is_image()
+    # One entry more: the preimage has a denominator, or (Cl(2,4), whose
+    # images are complex) is not real.
+    for part in (0, 1):
+        (block,) = m.blocks
+        entries = list(block[part] or [0] * len(block[0]))
+        entries[0] += 1
+        bumped = (entries, block[1]) if part == 0 else (block[0], entries)
+        assert not m._like((bumped,)).is_image()
+
+
+def test_a_numerator_outside_the_images_is_refused(rng):
+    # Here aM - Mb - Qc = 0 holds on the matrices, but M is no image.
+    sig = Signature(3, 3)
+    m = SpinorMatrix.of(random_mv(sig, rng))
+    (re, im), = m.blocks
+    outside = m._like((([re[0] + 1] + re[1:], im),))
+    two, one = SpinorMatrix.scalar(sig, 2), SpinorMatrix.scalar(sig, 1)
+    assert (two * outside - outside * one - outside).is_zero()
+    with pytest.raises(ResidualCheckFailedError, match="not a spinor image"):
+        sylvester._image_checked_x(two, one, outside, outside, 1, "general")
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+@pytest.mark.parametrize("kind", ["int", "frac"])
+@pytest.mark.parametrize("bump", ["entry", "image"])
+def test_corrupted_numerator_fails_the_matrix_check(sig, kind, bump, rng, monkeypatch):
+    # As on the blades, a wrong M must not get through the exact check.
+    # Adj(D) gets one entry more, or the image of 1 more, which keeps
+    # M = Adj(D) F an image, so that only the residual can refuse it.
+    prob = _dense_problem(sig, rng, kind)
+    assert _spinor.pays_off(prob.a, prob.b)
+    adjugate = sylvester._adjugate
+
+    def bumped(d, method):
+        adj, q = adjugate(d, method)
+        if bump == "image":
+            return adj + SpinorMatrix.scalar(sig, 1), q
+        (re, im), *rest = adj._dense().blocks
+        return adj._like((([re[0] + 1] + re[1:], im), *rest)), q
+
+    monkeypatch.setattr(sylvester, "_adjugate", bumped)
+    methods = [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2)
+    for method in methods:
+        with pytest.raises(ResidualCheckFailedError):
+            solve(prob, method)
+
+
+def test_exact_matrix_answers_skip_the_blade_check(rng, monkeypatch):
+    calls = []
+    check = sylvester.verify_residual
+
+    def counted(prob, x):
+        calls.append(prob.ring)
+        return check(prob, x)
+
+    monkeypatch.setattr(sylvester, "verify_residual", counted)
+    exact = _dense_problem(Signature(3, 3), rng, "int")
+    assert _spinor.pays_off(exact.a, exact.b)
+    sol = solve(exact)
+    assert calls == [] and sol.residual == 0
+    assert check(exact, sol.x) == 0
+    # The f64 flag is defined on the blades: a float answer is checked
+    # there, and so is an exact one from the blade kernel.
+    sig = exact.sig
+    floats = SylvesterProblem(
+        _dominant_f64(sig, rng, 1),
+        _dominant_f64(sig, rng, -1),
+        _as_float(random_mv(sig, rng, -3, 3)),
+    )
+    assert _spinor.pays_off(floats.a, floats.b)
+    assert not solve(floats).low_confidence
+    assert calls == [FLOAT64]
+    small = _dense_problem(Signature(2, 2), rng, "int")
+    solve(small)
+    assert calls == [FLOAT64, small.ring]
 
 
 @pytest.mark.parametrize("n", range(6, 11))
