@@ -165,6 +165,117 @@ class TestGeometricProduct:
         assert u ** 3 == u * u * u
 
 
+N5_SIGNATURES = [Signature(p, 5 - p) for p in range(6)]
+
+
+def _loop_product(u, v, monkeypatch):
+    """u * v on the mask loop: no operand pair reaches the kernel's
+    threshold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "_STRAIGHT_LINE_PAIRS", u.sig.ncoeffs ** 2 + 1)
+        return u * v
+
+
+def _hex(u):
+    return [c.hex() for c in u.coeffs]
+
+
+class TestStraightLineProduct:
+    """Dense n = 5 products run a function generated from the sign
+    masks; it must be the mask loop, term for term and rounding for
+    rounding."""
+
+    @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
+    def test_encoded_product_is_the_loop_term_for_term(self, sig, monkeypatch):
+        # u_a = X^a and v_b = X^(32 b) put the term u_a v_b at the power
+        # a + 32 b, one power per blade pair.  Every output coefficient
+        # is then a sum of distinct powers with signs, read back as its
+        # balanced base-X digits: the sign and the place of all 1 024
+        # terms.
+        x = 67
+        u = Multivector(sig, [x ** a for a in range(32)])
+        v = Multivector(sig, [x ** (32 * b) for b in range(32)])
+        kernel = algebra._straight_line(5, sig.p)(u._num, v._num, 0)
+        assert (u * v)._num == kernel
+        assert _loop_product(u, v, monkeypatch)._num == kernel
+        for k, value in enumerate(kernel):
+            digits = {}
+            power = 0
+            while value:
+                digit = (value + x // 2) % x - x // 2
+                if digit:
+                    digits[power] = digit
+                value = (value - digit) // x
+                power += 1
+            expected = {}
+            for a in range(32):
+                b = a ^ k
+                sign, word = word_product(mask_to_word(a), mask_to_word(b), sig.p)
+                assert word_to_mask(word) == k
+                expected[a + 32 * b] = sign
+            assert digits == expected
+
+    @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
+    def test_float_results_round_as_the_loop(self, sig, rng, monkeypatch):
+        tiny = (5e-324, -5e-324, 2.5e-310, -1e-308, 3e-300)
+
+        def dense_uniform():
+            return [rng.uniform(-1, 1) for _ in range(32)]
+
+        def integer_valued():
+            return [float(rng.randint(-3, 3)) for _ in range(32)]
+
+        def zeros_and_subnormals():
+            # 24 nonzero coefficients per operand, 576 pairs: still dense.
+            coeffs = [rng.choice(tiny) for _ in range(16)]
+            coeffs += [rng.uniform(-1, 1) for _ in range(8)]
+            coeffs += [rng.choice((0.0, -0.0)) for _ in range(8)]
+            rng.shuffle(coeffs)
+            return coeffs
+
+        for draw in (dense_uniform, integer_valued, zeros_and_subnormals):
+            for _ in range(20):
+                u = Multivector(sig, draw(), FLOAT64)
+                v = Multivector(sig, draw(), FLOAT64)
+                kernel = algebra._straight_line(5, sig.p)(u._num, v._num, 0.0)
+                assert _hex(u * v) == [c.hex() for c in kernel]
+                assert _hex(u * v) == _hex(_loop_product(u, v, monkeypatch))
+
+    def test_sparse_and_non_finite_operands_take_the_loop(self, rng, monkeypatch):
+        calls = []
+        kernel = algebra._straight_line
+
+        def recorded(n, p):
+            calls.append((n, p))
+            return kernel(n, p)
+
+        monkeypatch.setattr(algebra, "_straight_line", recorded)
+        sig = Signature(3, 2)
+        dense = random_mv(sig, rng, 1, 9)
+        dense * dense
+        assert calls == [(5, 3)]
+        calls.clear()
+        # 6 x 32 = 192 nonzero pairs stay below the threshold.
+        sparse = Multivector.from_terms(sig, {m: 1 for m in range(0, 32, 6)})
+        assert sparse * dense == _loop_product(sparse, dense, monkeypatch)
+        for ring in (RATIONAL, FLOAT64):
+            for other_n in (Signature(2, 2), Signature(3, 3)):
+                u = random_mv(other_n, rng, 1, 9, ring)
+                u * u
+        assert calls == []
+        # The loop skips the zero scalar of v, so it never forms 0 * inf.
+        v = Multivector(sig, [0.0] + [1.0] * 31, FLOAT64)
+        for bad in (math.inf, -math.inf, math.nan):
+            coeffs = [float(c) for c in dense.coeffs]
+            coeffs[5] = bad
+            u = Multivector(sig, coeffs, FLOAT64)
+            assert _hex(u * v) == _hex(_loop_product(u, v, monkeypatch))
+            assert _hex(v * u) == _hex(_loop_product(v, u, monkeypatch))
+            if not math.isnan(bad):
+                assert not any(map(math.isnan, (u * v).coeffs + (v * u).coeffs))
+        assert calls == []
+
+
 class TestGradeProject:
     def test_examples(self):
         sig = Signature(2, 0)
