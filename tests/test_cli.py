@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasylv import (
+    FLOAT64,
     RATIONAL,
     Multivector,
     Signature,
@@ -244,6 +245,19 @@ class TestOtherCommands:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e200])
+    def test_det_float_overflow_at_n5_is_named(self, capsys, rng, scale):
+        # inf - inf in char_poly's last iterate must not show as nan.
+        b = [scale * rng.uniform(-1, 1) for _ in range(32)]
+        code, _, err = run(
+            capsys, "det", "--signature", "3,2", "--scalar", "f64",
+            "--b", format_multivector(Multivector(Signature(3, 2), b, FLOAT64)),
+        )
+        assert code == 3
+        assert err.startswith("error:")
+        assert "overflows" in err
+        assert "nan" not in err
 
     def test_inverse(self, capsys):
         code, out, _ = run(

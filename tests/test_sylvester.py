@@ -507,6 +507,21 @@ class TestFloatMode:
             with pytest.raises(NumericalDegradationError):
                 solve(prob, method=method)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e100, 1e200])
+    def test_overflow_of_b_is_named_not_nan(self, rng, scale):
+        # A huge dense B overflows char_poly(B), and inf - inf leaves nan
+        # in its last iterate: every n = 5 method names the overflow.
+        sig = Signature(3, 2)
+        a, b, c = (
+            Multivector(sig, [rng.uniform(-1, 1) for _ in range(32)], FLOAT64)
+            for _ in range(3)
+        )
+        prob = SylvesterProblem(a, b.scale(scale), c)
+        for method in _methods_for(5):
+            with pytest.raises(NumericalDegradationError, match="overflows") as info:
+                solve(prob, method=method)
+            assert "nan" not in str(info.value)
+
     def test_float_singular_detection(self):
         sig = Signature(1, 2)
         two = Multivector.scalar(sig, 2.0, FLOAT64)
