@@ -31,7 +31,8 @@ the imaginary list None where it is zero.  A matrix carries the ring of
 the element it was made from.  Rational entries are integers:
 SpinorMatrix.of refuses an element with a denominator, and the
 preimage leaves its division by N to the algebra's constructor.  Float
-entries are floats, and the preimage divides by N, a power of two.
+entries are floats, summed in one order on every interpreter (_total),
+and the preimage divides by N, a power of two.
 
 In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
@@ -43,8 +44,8 @@ A matrix computes its undivided preimage at most once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, mul, sub
+from functools import lru_cache, reduce
+from operator import add, sub
 
 from .algebra import FLOAT64, RATIONAL, _build, _value
 from .errors import InternalError
@@ -211,11 +212,26 @@ def _entry(value, ring):
     return float(value) if ring == FLOAT64 else _exact(value)
 
 
+def _total(values):
+    """The sum of values, left to right from 0.  From CPython 3.12 on,
+    sum() compensates float sums; every f64 sum here takes this order,
+    so it rounds alike on every interpreter."""
+    return reduce(add, values, 0)
+
+
+@lru_cache(maxsize=None)
+def _dot(s):
+    """The dot product of two length-s sequences in _total's order, as
+    one expression generated once per s: faster than sum() too."""
+    return eval("lambda u, v: 0" + "".join(f" + u[{k}] * v[{k}]" for k in range(s)))
+
+
 def _matmul(a, b, s):
     """Product of two flat s x s matrices."""
     rows = [a[i:i + s] for i in range(0, s * s, s)]
     cols = [b[j::s] for j in range(s)]
-    return [sum(map(mul, row, col)) for row in rows for col in cols]
+    dot = _dot(s)
+    return [dot(row, col) for row in rows for col in cols]
 
 
 def _block_product(u, v, s):
@@ -343,6 +359,7 @@ class SpinorMatrix:
             for re, im in blocks
         ]
         exact = self.ring == RATIONAL
+        dot = _dot(rep.size)
         coeffs = []
         for a, (x, z, k) in enumerate(rep.blades[0]):
             signs = rep.signs[z]
@@ -351,7 +368,7 @@ class SpinorMatrix:
                 flip = table[a][2] != k
                 for part, values in enumerate(rows[x]):
                     if values is not None:
-                        t = sum(map(mul, signs, values))
+                        t = dot(signs, values)
                         total[part] += -t if flip else t
             # Multiply by i**-k: i**-1 (u + iv) = v - iu.
             re, im = total
@@ -410,9 +427,6 @@ class SpinorMatrix:
     def __sub__(self, other):
         return self._plus(other, sub)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def _plus(self, other, op):
         if self.center is not None and other.center is not None:
             return self._like(center=tuple(
@@ -437,8 +451,8 @@ class SpinorMatrix:
         s = self.rep.size
         return tuple(
             (
-                self._divide(sum(re[p] for p in diagonal), s),
-                0 if im is None else self._divide(sum(im[p] for p in diagonal), s),
+                self._divide(_total(re[p] for p in diagonal), s),
+                0 if im is None else self._divide(_total(im[p] for p in diagonal), s),
             )
             for re, im in self.blocks
         )
@@ -446,7 +460,7 @@ class SpinorMatrix:
     def scalar_part(self):
         """Re tr / N: the mean over the blocks of their block values."""
         values = self._block_values()
-        return self._divide(sum(zr for zr, _ in values), len(values))
+        return self._divide(_total(zr for zr, _ in values), len(values))
 
     def grade_project(self, k):
         """Grade 0, or at odd n grade n: what the block values hold

@@ -7,8 +7,8 @@ degraded, and binary64 floats.  A rational element is int numerators
 over one positive denominator in lowest terms, so products and sums run
 on ints with one gcd per result; a float element is its floats over 1.
 Only the public constructors coerce values; kernel results go through
-_build.  Denominators are this module's alone, but for the conversion
-of a problem into integer spinor matrices in sylvester._solve.
+_build.  Denominators are this module's alone, but for sylvester._solve,
+which scales a rational problem to integers once, on either kernel.
 
 The geometric product is one loop over the nonzero coefficient pairs,
 with a sign mask per blade row, at every n.  Dense operands, with

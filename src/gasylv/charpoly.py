@@ -195,9 +195,10 @@ def _as_scalar(u, reference):
     return u.scalar_part()
 
 
-def _closed_adjugate(b):
+def _closed_adjugate(b, sharp_form=False):
     """Per-dimension closed adjugate, n <= 5: b * _closed_adjugate(b)
-    is the scalar Det(b)."""
+    is the scalar Det(b).  At n = 4, sharp_form takes tilde(b) sharp(b)
+    for hat(tilde(b)) natural(b); the two agree but for f64 rounding."""
     n = b.sig.dim
     if n == 1:
         return b.hat()
@@ -207,7 +208,7 @@ def _closed_adjugate(b):
         bt = b.tilde()
         return b.hat() * bt * bt.hat()
     if n == 4:
-        return b.tilde().hat() * natural(b)
+        return b.tilde() * sharp(b) if sharp_form else b.tilde().hat() * natural(b)
     if n == 5:
         bt, bs = b.tilde(), sharp(b)
         core = b * bt * bs

@@ -15,23 +15,17 @@ the first method accepting n.  At odd n the full phi_B(A) can vanish on
 a problem that is not singular, so a zero Q from general is retried
 with general_odd.
 
-The recursions run on one of two kernels, chosen from the problem alone
-(_spinor.pays_off): the blade loop of Multivector, or, for dense
-operands at n >= 6 in either ring, the spinor matrices of _spinor,
-N x N complex matrices whose product costs O(N**3) against the blade
-loop's 4**n.  A, B and C are converted once on entry, and D, F and the
-numerator M once on exit.  In the rational ring both kernels give the
-same D, F, M and Q, and a matrix answer is checked on the matrices; in
-f64 they differ by rounding, and the residual check judges either
-answer on the blades, where the flag is defined.
-
-In the rational ring every solve runs on integers without clearing
-anything first: a Multivector holds integer numerators over one
-denominator, so every product and sum of a method is integer arithmetic
-with one gcd per result.  The residual is checked on the numerator
-M = Adj(D)F as AM - MB - QC = 0, which is Q times AX - XB - C, and
-X = M / Q is the one division.  Rational spinor matrices hold integers
-only; _solve alone scales into them and back (see there).
+A rational problem is solved as integers, scaled once (see _solve).
+The recursions run on one of two kernels, chosen from the problem
+alone: the blade loop of Multivector, or, for dense operands at n >= 6
+in either ring, the spinor matrices of _spinor, N x N complex matrices
+whose product costs O(N**3) against the blade loop's 4**n.  The closed
+forms, which conjugate, stay on blades.  In the rational ring both
+kernels give the same D, F, M and Q, and an answer is checked on the
+kernel that computed it: AM - MB - QC = 0 on the numerator
+M = Adj(D)F is Q times AX - XB - C, and X = M / Q is the one division.
+In f64 the kernels differ by rounding, and the residual check judges
+either answer on the blades, where the flag is defined.
 
 A float answer is flagged low_confidence when its residual is not
 finite or not within RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max
@@ -194,12 +188,12 @@ def _coefficients(b, method):
 def _adjugate(d, method):
     """(Adj, Q) with D Adj = Q e.  The recursions take differences[-1]
     and b_N of the characteristic polynomial of D, which are -Adj(D) and
-    -Det(D); closed_n4_v2 takes tilde(D) sharp(D), and the other closed
-    forms the closed adjugate of their dimension."""
+    -Det(D); the closed forms take the closed adjugate of their
+    dimension, at n = 4 that of their variant."""
     if method in _RECURSIONS:
         inv = char_poly(d)
         return inv.differences[-1], inv.coeffs[-1]
-    adj = d.tilde() * sharp(d) if method == CLOSED_N4_V2 else _closed_adjugate(d)
+    adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
     return adj, _as_scalar(d * adj, d)
 
 
@@ -253,20 +247,25 @@ def _methods_for(n):
     return [m for m, dims in _METHOD_TABLE.items() if n in dims]
 
 
-def _verified_x(prob, m, q, method):
-    """(X, residual, low_confidence) for X = M / Q, checked by
-    substitution.  The rational ring checks AM - MB - QC = 0 before the
-    one division; floats check X and flag a residual that is above its
-    bound or not finite."""
-    if prob.ring == RATIONAL:
-        residual = verify_residual(
-            SylvesterProblem(prob.a, prob.b, prob.c.scale(q)), m
+def _exact_x(a, b, c, m, q, method):
+    """X = M / Q for the integer problem a, b, c that M and Q were
+    computed from, checked first on the kernel that computed them:
+    aM - Mb - Qc = 0, and on the spinor kernel M the image of its
+    preimage.  The images are a faithful homomorphism, verified once per
+    signature by _spinor, so that is the blade check at O(N**3)."""
+    if not (a * m - m * b - c.scale(q)).is_zero():
+        raise ResidualCheckFailedError(f"nonzero exact residual for method {method}")
+    if isinstance(m, _spinor.SpinorMatrix) and not m.is_image():
+        raise ResidualCheckFailedError(
+            f"the numerator of method {method} is not a spinor image"
         )
-        if residual != 0:
-            raise ResidualCheckFailedError(
-                f"exact residual {residual} for method {method}"
-            )
-        return m / q, residual, False
+    return _blades(m) / q
+
+
+def _float_x(prob, m, q):
+    """(X, residual, low_confidence) for X = M / Q in f64, checked by
+    substitution on the blades: X is flagged when its residual is above
+    its bound or not finite."""
     x = m / q
     residual = verify_residual(prob, x)
     norm_x = x.max_abs_coeff()
@@ -279,22 +278,11 @@ def _verified_x(prob, m, q, method):
     return x, residual, not (isfinite(residual) and residual <= bound)
 
 
-def _image_checked_x(a, b, c, m, q, method):
-    """X = M / Q for the exact spinor images a, b, c of LA, LB, LC and
-    the numerator M and Q of that scaled problem, checked by
-    substitution on the matrices: aM - Mb - Qc = 0, and M the image of
-    its preimage.  The images are a faithful homomorphism, verified once
-    per signature by _spinor, so this is AM - MB - QC = 0 on the blades
-    times a power of L, at O(N**3) instead of 4**n."""
-    if not (a * m - m * b - c.scale(q)).is_zero():
-        raise ResidualCheckFailedError(
-            f"nonzero exact residual of the spinor images for method {method}"
-        )
-    if not m.is_image():
-        raise ResidualCheckFailedError(
-            f"the numerator of method {method} is not a spinor image"
-        )
-    return m.multivector() / q
+def _blades(u, den=1):
+    """An element of either kernel as a Multivector divided by den."""
+    if isinstance(u, Multivector):
+        return u if den == 1 else u / den
+    return u.multivector(den)
 
 
 def _solve(prob, method):
@@ -302,21 +290,20 @@ def _solve(prob, method):
     coefficients and differences, M = Adj(D) F and Q, checked and
     divided once.  An f64 D or Q that overflows is refused.
 
-    The recursions run on spinor matrices where they pay off (n >= 6, so
-    never a closed form).  Rational matrices hold integers: A, B and C
-    enter times the lcm L of their denominators, and D and F, of degree
-    len(coeffs), leave divided by L to that degree, M and Q by L to N
-    times it.  In f64, L is 1.  An exact answer with Q != 0 is checked on
-    the matrices (_image_checked_x); every other one on the blades."""
+    A, B and C enter times the lcm L of their denominators (1 in f64).
+    D and F, of degree len(coeffs), leave divided by L to that degree,
+    and Q by L to N times it; X = M / Q and the check, which is
+    L**(1 + N len(coeffs)) times AM - MB - QC, need no scaling."""
     if method not in _METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     if prob.sig.dim not in _METHOD_TABLE[method]:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
     a, b, c = prob.a, prob.b, prob.c
-    spinor = _spinor.pays_off(a, b)
-    if spinor:
-        scale = lcm(a._den, b._den, c._den)
-        a, b, c = (_spinor.SpinorMatrix.of(u.scale(scale)) for u in (a, b, c))
+    scale = lcm(a._den, b._den, c._den)
+    if scale != 1:
+        a, b, c = a.scale(scale), b.scale(scale), c.scale(scale)
+    if method in _RECURSIONS and _spinor.pays_off(a, b):
+        a, b, c = (_spinor.SpinorMatrix.of(u) for u in (a, b, c))
     coeffs, differences = _coefficients(b, method)
     pw = _powers(a, len(coeffs))
     d = _assemble_d(pw, coeffs)
@@ -326,19 +313,17 @@ def _solve(prob, method):
     adj, q = _adjugate(d, method)
     if d.ring == FLOAT64 and not isfinite(q):
         raise NumericalDegradationError("Q overflows")
+    d_scale = scale ** len(coeffs)
+    d_out, f_out = _blades(d, d_scale), _blades(f, d_scale)
+    q_out = _value(q, d_scale ** prob.sig.charpoly_degree)
+    if is_zero_scalar(q_out, d_out):
+        raise SingularProblemError(q_out, d_out)
     m = adj * f
-    if spinor:
-        d_scale = scale ** len(coeffs)
-        m_scale = d_scale ** prob.sig.charpoly_degree
-        d, f = d.multivector(d_scale), f.multivector(d_scale)
-        if prob.ring == RATIONAL and q:
-            x = _image_checked_x(a, b, c, m, q, method)
-            return SylvesterSolution(x, _value(q, m_scale), d, f, method, 0)
-        m, q = m.multivector(m_scale), _value(q, m_scale)
-    if is_zero_scalar(q, d):
-        raise SingularProblemError(q, d)
-    x, residual, low_confidence = _verified_x(prob, m, q, method)
-    return SylvesterSolution(x, q, d, f, method, residual, low_confidence)
+    if prob.ring == RATIONAL:
+        x, residual, low_confidence = _exact_x(a, b, c, m, q, method), 0, False
+    else:
+        x, residual, low_confidence = _float_x(prob, _blades(m), q)
+    return SylvesterSolution(x, q_out, d_out, f_out, method, residual, low_confidence)
 
 
 def solve(prob, method=None):

@@ -14,6 +14,7 @@ from gasylv import (
     NumericalDegradationError,
     ResidualCheckFailedError,
     Signature,
+    SingularProblemError,
     SylvesterProblem,
     build_D_general,
     build_F_general,
@@ -127,6 +128,37 @@ def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
         assert _fields(got) == _fields(want)
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_the_kernel_rule_keeps_closed_forms_on_blades(n, kind, rng, monkeypatch):
+    # With the matrices allowed from n = 1, the recursions run on them
+    # wherever the operands are dense enough, and the closed forms, which
+    # conjugate, stay on blades: every method gives the blade answers.
+    # No coefficient is zero, so from n = 3 on nnz(A) nnz(B) >= 64.
+    monkeypatch.setattr(_spinor, "MIN_DIM", 1)
+    for sig in (Signature(n - n // 2, n // 2), Signature(n // 2, n - n // 2)):
+        given = _dense_problem(sig, rng, kind)
+        prob = SylvesterProblem(*(
+            Multivector(sig, [c or 1 for c in u.coeffs])
+            for u in (given.a, given.b, given.c)
+        ))
+        assert _spinor.pays_off(prob.a, prob.b) == (n > 2)
+
+        def answers():
+            out = []
+            for method in sylvester._methods_for(n):
+                try:
+                    out.append(_fields(solve(prob, method)))
+                except SingularProblemError as exc:
+                    out.append((type(exc), exc.q, exc.d))
+            return out
+
+        matrix = answers()
+        with monkeypatch.context() as blades_only:
+            blades_only.setattr(_spinor, "pays_off", lambda a, b: False)
+            assert answers() == matrix
+
+
 def _bump_pauli_product(monkeypatch, call):
     """Make the call-th _pauli_product (counted from 1) wrong by a sign."""
     product, calls = _spinor._pauli_product, []
@@ -188,6 +220,26 @@ def test_only_images_pass_the_round_trip(sig, rng):
         assert not m._like((bumped,)).is_image()
 
 
+def test_central_matrices_and_real_blocks_times_complex_scalars():
+    # Cl(1,2) keeps one block, where the pseudoscalar is i times the
+    # identity; the image of 1 + 2 e1 is real.
+    sig = Signature(1, 2)
+    three = SpinorMatrix.scalar(sig, 3)
+    assert (three - three).is_zero() and not three.is_zero()
+    u = Multivector.from_terms(sig, {0: 1, 1: 2})
+    pseudo = Multivector.blade(sig, 7, 3)
+    m = SpinorMatrix.of(u)
+    (block,) = m.blocks
+    assert block[1] is None
+    center = center_project(SpinorMatrix.of(pseudo))
+    ((zr, zi),) = center.center
+    assert zr == 0 and zi
+    assert not center.is_zero()
+    assert (m * center).multivector() == u * pseudo
+    assert (center * m).multivector() == pseudo * u
+    assert _spinor._block_scaled(([1, 2], None), (2, 3)) == ([2, 4], [3, 6])
+
+
 def test_a_numerator_outside_the_images_is_refused(rng):
     # Here aM - Mb - Qc = 0 holds on the matrices, but M is no image.
     sig = Signature(3, 3)
@@ -197,7 +249,7 @@ def test_a_numerator_outside_the_images_is_refused(rng):
     two, one = SpinorMatrix.scalar(sig, 2), SpinorMatrix.scalar(sig, 1)
     assert (two * outside - outside * one - outside).is_zero()
     with pytest.raises(ResidualCheckFailedError, match="not a spinor image"):
-        sylvester._image_checked_x(two, one, outside, outside, 1, "general")
+        sylvester._exact_x(two, one, outside, outside, 1, "general")
 
 
 @pytest.mark.parametrize("sig", [
@@ -228,6 +280,9 @@ def test_corrupted_numerator_fails_the_matrix_check(sig, kind, bump, rng, monkey
 
 
 def test_exact_matrix_answers_skip_the_blade_check(rng, monkeypatch):
+    # No exact answer calls verify_residual: each is checked on the
+    # kernel that computed it.  The f64 flag is defined on the blades,
+    # so every float answer calls it.
     calls = []
     check = sylvester.verify_residual
 
@@ -241,8 +296,6 @@ def test_exact_matrix_answers_skip_the_blade_check(rng, monkeypatch):
     sol = solve(exact)
     assert calls == [] and sol.residual == 0
     assert check(exact, sol.x) == 0
-    # The f64 flag is defined on the blades: a float answer is checked
-    # there, and so is an exact one from the blade kernel.
     sig = exact.sig
     floats = SylvesterProblem(
         _dominant_f64(sig, rng, 1),
@@ -252,9 +305,12 @@ def test_exact_matrix_answers_skip_the_blade_check(rng, monkeypatch):
     assert _spinor.pays_off(floats.a, floats.b)
     assert not solve(floats).low_confidence
     assert calls == [FLOAT64]
-    small = _dense_problem(Signature(2, 2), rng, "int")
-    solve(small)
-    assert calls == [FLOAT64, small.ring]
+    for kind in ("int", "frac"):
+        small = _dense_problem(Signature(2, 2), rng, kind)
+        assert solve(small).residual == 0
+    assert calls == [FLOAT64]
+    solve(SylvesterProblem(*(_as_float(u) for u in (small.a, small.b, small.c))))
+    assert calls == [FLOAT64, FLOAT64]
 
 
 @pytest.mark.parametrize("n", range(6, 11))
@@ -334,6 +390,39 @@ def test_float_matrix_path_agrees_with_the_blades(sig, rng, monkeypatch):
         assert max(
             abs(g - w) for g, w in zip(got.x.coeffs, want.x.coeffs)
         ) <= 1e-9 * size
+
+
+def test_float_sums_run_left_to_right():
+    # sum() compensates float sums from CPython 3.12 on and would give
+    # 1.0 here; the matrices add left to right from 0 on every
+    # interpreter.
+    values = [1e16, 1.0, -1e16]
+    assert _spinor._total(values) == 0.0
+    assert _spinor._dot(3)(values, [1, 1, 1]) == 0.0
+    assert _spinor._dot(3)([2, 3, 4], [5, 6, 7]) == 56
+
+
+def test_a_float_matrix_answer_is_pinned():
+    # A dense f64 answer of the spinor kernel, by float.hex, so that a
+    # run on any CPython from 3.10 to 3.13 shows a change of rounding.
+    # The inputs are drawn without sum(), which rounds differently
+    # across those versions.
+    rng = random.Random(2109)
+    sig = Signature(3, 3)
+
+    def dense(scalar):
+        coeffs = [rng.uniform(-1, 1) / 64 for _ in range(sig.ncoeffs)]
+        coeffs[0] = scalar
+        return Multivector(sig, coeffs, FLOAT64)
+
+    prob = SylvesterProblem(dense(2.0), dense(-2.0), dense(1.0))
+    assert _spinor.pays_off(prob.a, prob.b)
+    sol = solve(prob)
+    assert sol.method == sylvester.GENERAL and not sol.low_confidence
+    assert sol.q.hex() == "-0x1.ffbc13aa98b7cp+127"
+    assert [sol.x.coeffs[k].hex() for k in (0, 21, 63)] == [
+        "0x1.ffc27598426b0p-3", "0x1.887eef01eeaf8p-11", "0x1.55070376aec7cp-10",
+    ]
 
 
 def test_float_overflow_of_d_is_refused_on_the_matrix_path(rng):

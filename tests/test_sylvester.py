@@ -412,17 +412,53 @@ class TestIntegerCore:
             assert a * x - x * b == c
             assert x == brute_force_sylvester(prob)
 
+    def test_products_multiply_integers_only(self, rng, monkeypatch):
+        # A rational problem is solved as integers: under every method,
+        # with int and k/d operands, dense and sparse, each blade product
+        # multiplies elements (or scalars) without a denominator.
+        mul, dens = Multivector.__mul__, set()
+
+        def spy(u, v):
+            dens.add(u._den)
+            dens.add(v._den if isinstance(v, Multivector) else Fraction(v).denominator)
+            return mul(u, v)
+
+        draws = (
+            lambda: rng.randint(-3, 3),
+            lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 7)),
+        )
+        problems = []
+        for n in range(1, 8):
+            sig = Signature(n - n // 2, n // 2)
+            for draw in draws:
+                dense = [Multivector(sig, [draw() for _ in range(sig.ncoeffs)])
+                         for _ in range(3)]
+                sparse = [Multivector.from_terms(sig, {
+                    0: draw(), **{rng.randrange(sig.ncoeffs): draw() for _ in range(4)}
+                }) for _ in range(3)]
+                problems += [(n, SylvesterProblem(*u)) for u in (dense, sparse)]
+        monkeypatch.setattr(Multivector, "__mul__", spy)
+        for n, prob in problems:
+            for method in _methods_for(n):
+                try:
+                    solve(prob, method=method)
+                except SingularProblemError:
+                    pass
+        assert dens == {1}
+
     def test_corrupted_numerator_fails_the_exact_check(self, rng, monkeypatch):
         # The exact check runs on the numerator M before the one
-        # division; a wrong M must not get through it.
+        # division; a wrong M must not get through it on the blades,
+        # for int inputs and for k/d ones scaled to ints.
         prob = solvable_problem(Signature(1, 3), rng, -3, 3)
         frac = SylvesterProblem(prob.a / 3, prob.b / 3, prob.c / 5)
-        checked = sylvester._verified_x
+        checked = sylvester._exact_x
 
-        def corrupted(prob, m, *rest):
-            return checked(prob, m + Multivector.scalar(m.sig, 1), *rest)
+        def corrupted(a, b, c, m, *rest):
+            assert isinstance(m, Multivector)
+            return checked(a, b, c, m + Multivector.scalar(m.sig, 1), *rest)
 
-        monkeypatch.setattr(sylvester, "_verified_x", corrupted)
+        monkeypatch.setattr(sylvester, "_exact_x", corrupted)
         for p in (prob, frac):
             for method in _methods_for(4):
                 with pytest.raises(ResidualCheckFailedError):
