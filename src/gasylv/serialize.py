@@ -1,12 +1,23 @@
 """Text form of multivectors.
 
-Grammar (whitespace-insensitive): a signed sum of terms, each term a
-coefficient, a blade, or both (optionally joined by '*').  Coefficients
-are decimal integers, fractions a/b, or decimal floats (float ring
-only; no exponent notation, so '3e1' is always 3 times the blade e1).
-Blades are 'e' (the identity), 'e134' (ascending digits, n <= 9), or
-'e{1,3,14}' (comma form, required in printing once n >= 10).  Repeated
-blades accumulate.
+A literal is a sum of terms, with optional whitespace between tokens
+(not inside an integer or a decimal, nor right after the 'e' of a blade).
+_TERM reads one term, one line of its pattern per element:
+
+    sign    '+' or '-', required before every term but the first
+    number  the coefficient: an integer, a fraction a/b, or a decimal
+            float (f64 ring only; no exponent notation, so '3e1' is
+            always 3 times the blade e1)
+    '*'     optional, after a number
+    blade   'e' (the identity), 'e134' (ascending digits, n <= 9) or
+            'e{1,3,14}' (comma form, printed once n >= 10)
+    spaces  before the next term
+
+A term has a number, a blade, or both.  Repeated blades accumulate.
+An integer of more than sys.get_int_max_str_digits() digits (4300 by
+default), which int() would convert in quadratic time, is a ParseError.
+In the f64 ring an integer coefficient is read by float(), which has no
+such limit; one beyond the f64 range is refused as such.
 
 Golden fixture files use one blade term per line: 'MASK NUM/DEN'.
 """
@@ -15,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -22,15 +34,34 @@ from functools import lru_cache
 from .algebra import FLOAT64, RATIONAL, Multivector, _grades
 from .errors import NonFiniteError, ParseError
 
-_NUMBER = re.compile(r"\d+(?:\s*/\s*\d+|\.\d+)?")
-_BLADE_DIGITS = re.compile(r"e(\d+)")
-_BLADE_COMMA = re.compile(r"e\{\s*(\d+(?:\s*,\s*\d+)*)\s*\}")
+# Every element is optional here; parse_multivector decides which
+# combinations are terms.
+_TERM = re.compile(r"""
+    (?P<sign>[+-])?\s*                                                        # sign
+    (?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+)|\.(?P<frac>\d+))?                   # number
+    \s*(?:\*\s*)?)?                                                           # '*'
+    (?P<blade>e(?:\{\s*(?P<list>\d+(?:\s*,\s*\d+)*)\s*\}|(?P<digits>\d+))?)?  # blade
+    \s*                                                                       # spaces
+""", re.VERBOSE)
+
+
+def _int(digits, offset):
+    """int(digits), refused as a parse error beyond the interpreter's
+    limit on decimal digits, which guards against quadratic conversion."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer of more than {sys.get_int_max_str_digits()} digits", offset
+        ) from None
 
 
 def _blade_mask(indices, n, offset):
     mask = 0
     prev = 0
     for idx in indices:
+        if idx == 0:
+            raise ParseError(f"blade index 0 is outside 1..{n}", offset)
         if idx <= prev:
             raise ParseError(
                 f"blade indices must be strictly ascending, got e{indices}",
@@ -47,93 +78,54 @@ def _blade_mask(indices, n, offset):
 
 def parse_multivector(text, sig, ring=RATIONAL):
     """Parse a multivector literal into Cl(sig.p, sig.q) over ring."""
-    n = sig.dim
-    zero = Fraction(0) if ring == RATIONAL else 0.0
     terms = {}
-    pos = 0
-    length = len(text)
-    first = True
-    any_term = False
-    while True:
-        while pos < length and text[pos].isspace():
-            pos += 1
-        if pos >= length:
-            break
-        start = pos
-        sign = 1
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -1
-            pos += 1
-            while pos < length and text[pos].isspace():
-                pos += 1
-            if pos >= length:
-                raise ParseError("dangling sign", pos)
-        elif not first:
+    pos = len(text) - len(text.lstrip())
+    while pos < len(text):
+        term = _TERM.match(text, pos)
+        if term["sign"] is None and terms:
             raise ParseError("expected '+' or '-' between terms", pos)
-
-        num = _NUMBER.match(text, pos)
-        coef = None
-        if num:
-            token = num.group(0).replace(" ", "")
-            if "/" in token:
-                num_text, den_text = token.split("/")
-                if int(den_text) == 0:
-                    raise ParseError("zero denominator", pos)
-                coef = Fraction(int(num_text), int(den_text))
-            elif "." in token:
-                if ring == RATIONAL:
-                    raise ParseError(
-                        "decimal-float coefficient in the rational ring", pos
-                    )
-                coef = float(token)
-            else:
-                coef = Fraction(int(token))
-            pos = num.end()
-            while pos < length and text[pos].isspace():
-                pos += 1
-            if pos < length and text[pos] == "*":
-                pos += 1
-                while pos < length and text[pos].isspace():
-                    pos += 1
-
-        mask = None
-        if pos < length and text[pos] == "e":
-            blade = _BLADE_COMMA.match(text, pos) or _BLADE_DIGITS.match(text, pos)
-            if blade:
-                group = blade.group(1)
-                if "," in group or blade.re is _BLADE_COMMA:
-                    indices = [int(part) for part in group.split(",")]
-                else:
-                    indices = [int(ch) for ch in group]
-                mask = _blade_mask(indices, n, pos)
-                pos = blade.end()
-            else:
-                mask = 0
-                pos += 1
-        if coef is None and mask is None:
-            raise ParseError("expected a coefficient or a blade", pos)
-        if mask is None:
-            mask = 0
-        if coef is None:
-            coef = Fraction(1) if ring == RATIONAL else 1.0
+        if term["num"] is None and term["blade"] is None:
+            if term.end() == len(text):
+                raise ParseError("dangling sign", term.end())
+            raise ParseError("expected a coefficient or a blade", term.end())
+        num, den, frac = term.group("num", "den", "frac")
+        at = term.start("num")
+        if num is None:
+            coef = 1
+        elif den is not None:
+            den = _int(den, at)
+            if den == 0:
+                raise ParseError("zero denominator", at)
+            coef = Fraction(_int(num, at), den)
+        elif frac is None and ring != FLOAT64:
+            coef = _int(num, at)
+        elif ring == RATIONAL:
+            raise ParseError("decimal-float coefficient in the rational ring", at)
+        else:
+            # float() has no digit limit; a long integer is inf, refused below.
+            coef = float(f"{num}.{frac or 0}")
+        mask = 0
+        if term["blade"] is not None:
+            at = term.start("blade")
+            digits = term["list"].split(",") if term["list"] else term["digits"] or ""
+            mask = _blade_mask([_int(d, at) for d in digits], sig.dim, at)
+        if term["sign"] == "-":
+            coef = -coef
         if ring == FLOAT64:
             try:
-                value = terms.get(mask, zero) + sign * float(coef)
+                value = terms.get(mask, 0.0) + float(coef)
             except OverflowError:
                 value = math.inf
             if not math.isfinite(value):
-                raise ParseError("coefficient outside the f64 range", start)
+                raise ParseError("coefficient outside the f64 range", pos)
         else:
-            value = terms.get(mask, zero) + sign * coef
+            value = terms.get(mask, 0) + coef
         terms[mask] = value
-        first = False
-        any_term = True
-    if not any_term:
+        pos = term.end()
+    if not terms:
         raise ParseError("empty multivector literal", 0)
-    return Multivector.from_terms(
-        sig, {mask: value for mask, value in terms.items() if value}, ring
-    )
+    nonzero = {mask: value for mask, value in terms.items() if value}
+    return Multivector.from_terms(sig, nonzero, ring)
 
 
 def blade_name(mask, n):
@@ -192,7 +184,8 @@ def _blade_order(n):
 
 def format_multivector(u, decimal=False):
     """Render in blade order (grade, mask); parses back to an equal
-    multivector."""
+    multivector while no integer in it is longer than the input limit
+    on digits (see the module docstring)."""
     n = u.sig.dim
     coeffs = u.coeffs
     parts = []
@@ -224,7 +217,7 @@ def dump_coeff_lines(u):
         if not c:
             continue
         frac = Fraction(c)
-        lines.append(f"{mask} {frac.numerator}/{frac.denominator}")
+        lines.append(f"{mask} {_int_str(frac.numerator)}/{_int_str(frac.denominator)}")
     return "\n".join(lines) + "\n"
 
 
@@ -244,7 +237,7 @@ def load_coeff_lines(text, sig, ring=RATIONAL):
                 coef = Fraction(int(num), int(den))
             else:
                 coef = Fraction(int(coef_text))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad fixture line {lineno}: {raw!r}", lineno) from exc
         if not 0 <= mask < sig.ncoeffs:
             raise ParseError(f"mask {mask} out of range on line {lineno}", lineno)

@@ -148,6 +148,10 @@ class TestGeometricProduct:
         with pytest.raises(NonFiniteError):
             Multivector.scalar(Signature(1, 0), Fraction(10**400, 3), FLOAT64)
 
+    def test_non_number_refused_in_the_f64_ring(self):
+        with pytest.raises(RingMismatchError, match="str coefficient in the f64 ring"):
+            Multivector(Signature(1, 0), ["1", 0], FLOAT64)
+
     def test_f64_overflow_on_scale(self):
         u = Multivector.scalar(Signature(1, 0), 1.0, FLOAT64)
         with pytest.raises(NonFiniteError):

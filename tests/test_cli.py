@@ -129,6 +129,14 @@ class TestSolve:
         )
         assert code == 1
 
+    def test_integer_beyond_the_digit_limit_is_a_parse_error(self, capsys):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        code, out, _ = run(
+            capsys, "det", "--signature", "2,0", "--b", long, "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_bad_signature(self, capsys):
         code, _, _ = run(
             capsys, "solve", "--signature", "banana",

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,7 @@ class TestParse:
         "1" + "0" * 400 + ".0",
         "2 + 1" + "0" * 400 + "e1",
         "1" + "0" * 308 + ".0 + 1" + "0" * 308 + ".0",
+        "1" + "0" * 400 + "/3",
     ])
     def test_float_out_of_range_rejected(self, text):
         with pytest.raises(ParseError):
@@ -102,6 +104,30 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_multivector("e13", Signature(1, 1), RATIONAL)
         assert "dimension" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["e0", "e{2,0}", "e10"])
+    def test_index_zero(self, text):
+        with pytest.raises(ParseError, match=r"index 0 is outside 1\.\.3"):
+            parse_multivector(text, Signature(2, 1), RATIONAL)
+
+    @pytest.mark.parametrize("ring", [RATIONAL, FLOAT64])
+    @pytest.mark.parametrize("text", ["1/{long}", "{long}/3", "e{{{long}}}"])
+    def test_integers_beyond_the_digit_limit(self, text, ring):
+        limit = sys.get_int_max_str_digits()
+        long = "1" * (limit + 1)
+        with pytest.raises(ParseError, match=f"more than {limit} digits") as err:
+            parse_multivector("e1 - " + text.format(long=long), Signature(2, 0), ring)
+        assert err.value.offset == 5
+
+    def test_a_long_integer_coefficient(self):
+        long = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ParseError, match="more than") as err:
+            parse_multivector("e1 - " + long, Signature(2, 0), RATIONAL)
+        assert err.value.offset == 5
+        # In f64 it is a value beyond the range, as a long decimal is.
+        with pytest.raises(ParseError, match="outside the f64 range") as err:
+            parse_multivector("e1 - " + long, Signature(2, 0), FLOAT64)
+        assert err.value.offset == 3
 
 
 class TestFormat:
@@ -190,6 +216,16 @@ class TestCoeffLines:
         for text in ("0\n", "0 x\n", "9 1/1\n", "0 1/1 junk\n"):
             with pytest.raises(ParseError):
                 load_coeff_lines(text, sig, RATIONAL)
+
+    def test_zero_denominator_line(self):
+        with pytest.raises(ParseError, match="line 2") as err:
+            load_coeff_lines("1 1/2\n0 1/0\n", Signature(1, 0), RATIONAL)
+        assert err.value.offset == 2
+
+    def test_dump_beyond_the_digit_limit(self):
+        big = 10**5000
+        u = Multivector.scalar(Signature(2, 0), Fraction(big, 3))
+        assert dump_coeff_lines(u) == f"0 1{'0' * 5000}/3\n"
 
     def test_float_ring_load(self):
         sig = Signature(1, 0)

@@ -4,6 +4,8 @@ its answers on the images, and the rule that chooses between the two."""
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -206,6 +208,26 @@ def test_wrong_generator_relations_are_refused():
         rep._verify(commutes, 0)
 
 
+def test_a_wrong_unit_image_is_refused():
+    sig = Signature(3, 3)
+    rep = _spinor._Representation(sig)
+    generators = [rep.blades[0][1 << a] for a in range(sig.dim)]
+    x, z, k = rep.blades[0][0]
+    rep.blades = (((x, z, k + 2),) + rep.blades[0][1:],)  # -1 as the unit
+    with pytest.raises(InternalError, match="unit .* wrong image"):
+        rep._verify(generators, 0)
+
+
+def test_two_equal_blocks_are_refused():
+    sig = Signature(2, 1)  # odd n, pseudoscalar squares to +1: two blocks
+    rep = _spinor._Representation(sig)
+    assert rep.count == 2
+    generators = [rep.blades[0][1 << a] for a in range(sig.dim)]
+    rep.blades = (rep.blades[0], rep.blades[0])
+    with pytest.raises(InternalError, match="not told apart"):
+        rep._verify(generators, 0)
+
+
 @pytest.mark.parametrize("sig", [Signature(3, 3), Signature(2, 4)], ids=repr)
 def test_only_images_pass_the_round_trip(sig, rng):
     m = SpinorMatrix.of(random_mv(sig, rng))
@@ -365,7 +387,9 @@ def _dominant_f64(sig, rng, sign):
     their sum: the spectra of A (sign 1) and B (sign -1) lie on
     opposite sides of 0, and even general's Q at n = 7 stays finite."""
     coeffs = [rng.uniform(-1, 1) / sig.ncoeffs for _ in range(sig.ncoeffs)]
-    coeffs[0] = sign * (1 + sum(map(abs, coeffs[1:])))
+    # Left to right, as in _spinor: sum() compensates from CPython 3.12 on,
+    # and the operands must not depend on the interpreter.
+    coeffs[0] = sign * (1 + reduce(add, map(abs, coeffs[1:]), 0))
     return Multivector(sig, coeffs, FLOAT64)
 
 
