@@ -12,6 +12,13 @@ numerators of Multivector, and it runs unchanged on the spinor matrices
 of _spinor.  Closed-form determinant expressions for n <= 5 serve as
 cross-check oracles; the closed adjugates they multiply are also those
 of the closed-form solvers.
+
+The exact solvers on spinor matrices invert D = phi_B(A) with none of
+this: Newton's identities give a characteristic polynomial from the
+traces of powers, and one subresultant remainder sequence gives the
+resultant of two polynomials and its cofactor (_resultant), over the
+integers or, for the one complex block of M(N/2, C), the Gaussian
+integers.
 """
 
 from __future__ import annotations
@@ -193,6 +200,151 @@ def _as_scalar(u, reference):
             f"non-scalar residue {residue} in a determinant expression"
         )
     return u.scalar_part()
+
+
+class _Gaussian:
+    """A Gaussian integer re + im i, with what the remainder sequence uses
+    of an int; // is exact division.  The coefficients of the one complex
+    block of Cl(p,q) = M(N/2, C) are Gaussian integers."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im
+
+    def __repr__(self):
+        return f"_Gaussian({self.re}, {self.im})"
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        other = _gaussian(other)
+        return self.re == other.re and self.im == other.im
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __add__(self, other):
+        other = _gaussian(other)
+        return _Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -_gaussian(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Gaussian(self.re * other, self.im * other)
+        return _Gaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = _Gaussian(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __floordiv__(self, other):
+        if isinstance(other, int):
+            return _Gaussian(self.re // other, self.im // other)
+        return self * other.conjugate() // (other.re * other.re + other.im * other.im)
+
+    def __rfloordiv__(self, other):
+        return _Gaussian(other) // self
+
+    def conjugate(self):
+        return _Gaussian(self.re, -self.im)
+
+
+def _gaussian(value):
+    return value if isinstance(value, _Gaussian) else _Gaussian(value)
+
+
+def _trim(poly):
+    """poly, coefficients lowest degree first, without zero leading ones."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _newton(sums):
+    """The monic polynomial of degree L = len(sums), coefficients lowest
+    degree first, whose L roots have the power sums p_1..p_L.  By Newton's
+    identities its coefficient of lambda**(L-k) is
+    -(1/k) sum_(i=1..k) (that of lambda**(L-k+i)) p_i; each division is
+    exact when the p_k are the traces of the powers of an integer matrix."""
+    top = [1]
+    for k in range(1, len(sums) + 1):
+        top.append(-sum(top[k - i] * sums[i - 1] for i in range(1, k + 1)) // k)
+    return top[::-1]
+
+
+def _pseudo_divide(f, g):
+    """(q, r) with lc(g)**(deg f - deg g + 1) f = q g + r and deg r < deg g,
+    coefficients lowest degree first."""
+    lead, low = g[-1], g[:-1]
+    r = list(f)
+    q = [0] * (len(f) - len(low))
+    for j in reversed(range(len(q))):
+        c = r.pop()
+        r = [x * lead for x in r]
+        q = [x * lead for x in q]
+        q[j] = c
+        if c:
+            for i, y in enumerate(low):
+                r[j + i] -= c * y
+    return q, r
+
+
+def _resultant(f, g):
+    """(Res(f, g), t) for a monic f and deg g < deg f, over the integers or
+    the Gaussian integers: t has degree < deg f and t g = Res(f, g)
+    modulo f.  (0, None) when f and g have a common factor.
+
+    Brown's subresultant remainder sequence, r_(i+1) = prem(r_(i-1), r_i)
+    / beta_i from r_0 = f, r_1 = g, keeps every remainder a subresultant
+    (Collins, J. ACM 1967; Brown and Traub, J. ACM 1971), so every
+    division is exact, degree gaps included.  It carries each remainder's
+    cofactor t_i of g, r_i = s_i f + t_i g.  With d_i = deg r_(i-1) -
+    deg r_i and psi_1 = -1:
+
+        beta_i = -lc(r_(i-1)) psi_i**d_i         (lc(r_0) = 1),
+        psi_(i+1) = (-lc(r_i))**d_i / psi_i**(d_i - 1),
+
+    and for a last remainder r_k of degree 0, Res(f, g) = -psi_(k+1),
+    with its cofactor t_k Res / r_k."""
+    g = _trim(list(g))
+    if not g:
+        return 0, None
+    prev, cur, t_prev, t_cur = f, g, [], [1]
+    lead_prev, psi = 1, -1
+    while True:
+        d, lead = len(prev) - len(cur), cur[-1]
+        psi_next = (-lead) ** d // psi ** (d - 1)
+        if len(cur) == 1:
+            res = -psi_next
+            return res, [c * res // lead for c in t_cur]
+        beta = -lead_prev * psi ** d
+        q, r = _pseudo_divide(prev, cur)
+        r = _trim([c // beta for c in r])
+        if not r:
+            return 0, None
+        scale = lead ** (d + 1)
+        t_next = [scale * c for c in t_prev] + [0] * (len(q) + len(t_cur) - 1 - len(t_prev))
+        for i, a in enumerate(q):
+            for j, b in enumerate(t_cur):
+                t_next[i + j] -= a * b
+        prev, cur, t_prev, t_cur = cur, r, t_cur, [c // beta for c in t_next]
+        lead_prev, psi = lead, psi_next
 
 
 def _closed_adjugate(b, sharp_form=False):

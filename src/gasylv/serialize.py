@@ -17,9 +17,11 @@ A term has a number, a blade, or both.  Repeated blades accumulate.
 An integer of more than sys.get_int_max_str_digits() digits (4300 by
 default), which int() would convert in quadratic time, is a ParseError.
 In the f64 ring an integer coefficient is read by float(), which has no
-such limit; one beyond the f64 range is refused as such.
+such limit; one beyond the f64 range is refused as such, and so is a
+nonzero coefficient that rounds to 0.
 
-Golden fixture files use one blade term per line: 'MASK NUM/DEN'.
+Golden fixture files use one blade term per line: 'MASK NUM/DEN', with
+no limit on the digits, as _int_str writes them.
 """
 
 from __future__ import annotations
@@ -113,9 +115,13 @@ def parse_multivector(text, sig, ring=RATIONAL):
             coef = -coef
         if ring == FLOAT64:
             try:
-                value = terms.get(mask, 0.0) + float(coef)
+                coef = float(coef)
             except OverflowError:
-                value = math.inf
+                coef = math.inf
+            if not coef and ((num or "1") + (frac or "")).strip("0"):
+                at = term.start("num")
+                raise ParseError("nonzero coefficient rounds to 0 in f64", at)
+            value = terms.get(mask, 0.0) + coef
             if not math.isfinite(value):
                 raise ParseError("coefficient outside the f64 range", pos)
         else:
@@ -154,6 +160,16 @@ def _int_str(value):
         # Beyond sys.get_int_max_str_digits(), which limits str() but not
         # the exact conversion through Decimal.
         return str(Decimal(value))
+
+
+def _str_int(text):
+    """int(text) with no limit on the digits: the inverse of _int_str."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"[+-]?\d+", text):
+            raise
+        return int(Decimal(text))
 
 
 def _scalar_str(value):
@@ -234,9 +250,9 @@ def load_coeff_lines(text, sig, ring=RATIONAL):
             mask = int(mask_text)
             if "/" in coef_text:
                 num, den = coef_text.split("/")
-                coef = Fraction(int(num), int(den))
+                coef = Fraction(_str_int(num), _str_int(den))
             else:
-                coef = Fraction(int(coef_text))
+                coef = Fraction(_str_int(coef_text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad fixture line {lineno}: {raw!r}", lineno) from exc
         if not 0 <= mask < sig.ncoeffs:

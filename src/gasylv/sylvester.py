@@ -8,9 +8,12 @@ B_(k) - c_(k); then it inverts D.  The general recursion takes all N
 coefficients of B, the odd-n one the N/2 generalized central ones.  The
 closed forms for n = 1..5 are that same recursion with its differences
 written as the paper's conjugation products of B; the coefficients
-follow from them.  The recursions invert D by its own characteristic
-polynomial, the closed forms by the closed adjugate of their
-dimension.  One table states the n each method accepts; the default is
+follow from them.  The closed forms invert D by the closed adjugate of
+their dimension.  On exact spinor matrices the recursions invert D
+through the resultant of A's and B's characteristic polynomials, from
+the powers of A already assembled and with no product; in f64 and on
+blades, by D's own characteristic polynomial (see _adjugate).
+One table states the n each method accepts; the default is
 the first method accepting n.  At odd n the full phi_B(A) can vanish on
 a problem that is not singular, so a zero Q from general is retried
 with general_odd.
@@ -36,7 +39,10 @@ NumericalDegradationError, under every method.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import isfinite, lcm
+from operator import add, mul
+from typing import NamedTuple
 
 from . import _spinor
 from .algebra import (
@@ -53,12 +59,16 @@ from .algebra import (
 from .charpoly import (
     _as_scalar,
     _closed_adjugate,
+    _Gaussian,
+    _newton,
+    _resultant,
     char_poly,
     generalized_coeffs,
     inverse,
     is_zero_scalar,
 )
 from .errors import (
+    InternalError,
     NumericalDegradationError,
     ResidualCheckFailedError,
     SingularProblemError,
@@ -185,16 +195,101 @@ def _coefficients(b, method):
     return (*coeffs, cur), differences
 
 
-def _adjugate(d, method):
-    """(Adj, Q) with D Adj = Q e.  The recursions take differences[-1]
-    and b_N of the characteristic polynomial of D, which are -Adj(D) and
-    -Det(D); the closed forms take the closed adjugate of their
-    dimension, at n = 4 that of their variant."""
-    if method in _RECURSIONS:
+class _Phi(NamedTuple):
+    """D = phi_B(A) and what it was assembled from: the powers
+    A**0..A**L and B's L coefficients."""
+
+    d: object
+    powers: list
+    coeffs: tuple
+
+
+def _adjugate(phi, method):
+    """(Adj, Q) with D Adj = Q e.  The closed forms take the closed
+    adjugate of their dimension, at n = 4 that of their variant.  The
+    recursions take -Adj(D) and -Det(D), differences[-1] and b_N of the
+    char poly of D.  On exact spinor matrices, which hold dense
+    operands, they come through the resultant of A's and B's char polys
+    (_resultant_adjugate).  In f64, where a remainder sequence is
+    unstable, and on blades, where sparse operands keep D's own
+    recursion cheaper than the degree-N remainder sequence, they come
+    from the char poly of D."""
+    d = phi.d
+    if method not in _RECURSIONS:
+        adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
+        return adj, _as_scalar(d * adj, d)
+    if d.ring == FLOAT64 or isinstance(d, Multivector):
         inv = char_poly(d)
         return inv.differences[-1], inv.coeffs[-1]
-    adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
-    return adj, _as_scalar(d * adj, d)
+    return _resultant_adjugate(phi, method)
+
+
+def _block_values(u):
+    """Per block of an exact spinor matrix, tr(block) / block size: an int
+    per block, or one _Gaussian for the one complex block of M(N/2, C)."""
+    if u.rep.onto:
+        return tuple(_Gaussian(re, im) for re, im in u._block_values())
+    return tuple(re for re, _ in u._block_values())
+
+
+def _sum_at_a(pw, columns):
+    """sum_k T_k pw[k] for the central T_k whose block values are
+    columns[k], one value standing for every block: blockwise scalings
+    and sums."""
+    count = pw[0].rep.count
+    return reduce(add, (
+        u * pw[0]._like(center=tuple(
+            (v.re, v.im) if isinstance(v, _Gaussian) else (v, 0) for v in values
+        ) * (count // len(values)))
+        for u, values in zip(pw, columns) if any(values)
+    ))
+
+
+def _resultant_adjugate(phi, method):
+    """(-Adj(D), -Det(D)) for D = phi_B(A) on exact spinor matrices, with
+    no recursion on D.  D is a polynomial in A, so Det(D) = Res(phi_A,
+    phi_B) for the characteristic polynomial phi_A of A, and Adj(D) =
+    t(A) for the t with t phi_B = Det(D) modulo phi_A (Jameson, SIAM J.
+    Appl. Math. 1968).  phi_A comes from the power sums tr(A**k) by
+    Newton's identities, checked by phi_A(A) = 0 on the powers; Res and
+    t from one subresultant remainder sequence of phi_A and phi_B -
+    phi_A.
+
+    general takes the degree-N polynomials of A and B; a power sum is N
+    times a scalar part.  general_odd takes them per block, for D's
+    central coefficients differ between the blocks; a power sum is the
+    block size N/2 times a block value.  Det(D) is the product of the
+    block determinants, with the conjugate block's where M(N/2, C) keeps
+    one, and Adj(D) on a block is its t(A) times the other
+    determinant."""
+    pw, coeffs = phi.powers, phi.coeffs
+    size = len(coeffs)
+    if method == GENERAL:
+        sums = [[size * u.scalar_part()] for u in pw[1:]]
+        b_values = [[c] for c in coeffs]
+    else:
+        sums = [[size * v for v in _block_values(u)] for u in pw[1:]]
+        b_values = [_block_values(c) for c in coeffs]
+    phi_a = [_newton(block) for block in zip(*sums)]
+    if not _sum_at_a(pw, list(zip(*phi_a))).is_zero():
+        raise InternalError("phi_A(A) is not zero: A's power sums are wrong")
+    dets, cofactors = [], []
+    for a, b in zip(phi_a, zip(*b_values)):
+        # phi_B - phi_A, both monic of degree size: -b_(size-k) - a_k.
+        res, t = _resultant(a, [-c - x for c, x in zip(b[::-1], a)])
+        if not res:
+            return pw[0].scale(0), 0
+        dets.append(res)
+        cofactors.append(t + [0] * (size - len(t)))
+    if isinstance(dets[0], _Gaussian):
+        dets.append(dets[0].conjugate())
+    det = reduce(mul, dets)
+    others = [det // d for d in dets]
+    adj = _sum_at_a(pw, [
+        tuple(-other * t[k] for other, t in zip(others, cofactors))
+        for k in range(size)
+    ])
+    return adj, -(det.re if isinstance(det, _Gaussian) else det)
 
 
 def solve_general(prob):
@@ -310,7 +405,7 @@ def _solve(prob, method):
     f = _assemble_f(pw, c, differences)
     if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
         raise NumericalDegradationError("D = phi_B(A) overflows")
-    adj, q = _adjugate(d, method)
+    adj, q = _adjugate(_Phi(d, pw, coeffs), method)
     if d.ring == FLOAT64 and not isfinite(q):
         raise NumericalDegradationError("Q overflows")
     d_scale = scale ** len(coeffs)

@@ -111,3 +111,21 @@ def brute_force_sylvester(prob):
     if solution is None:
         return None
     return Multivector(sig, solution, prob.ring)
+
+
+def matrix_determinant(matrix):
+    """Determinant of an exact square matrix by Gaussian elimination."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det

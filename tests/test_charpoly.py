@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +26,16 @@ from gasylv import (
     load_coeff_lines,
     parse_multivector,
 )
-from gasylv.charpoly import _central_coeff, _faddeev_leverrier, _scalar_coeff
+from gasylv.charpoly import (
+    _central_coeff,
+    _faddeev_leverrier,
+    _Gaussian,
+    _newton,
+    _resultant,
+    _scalar_coeff,
+)
 from conftest import all_signatures, random_mv, random_sparse_mv
+from oracles import matrix_determinant
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -276,3 +285,60 @@ class TestGeneralizedCoeffs:
         assert center_project(expr) != expr
         assert not grade_project(expr, 3).is_zero()
         assert not grade_project(expr, 4).is_zero()
+
+
+def _sylvester_matrix(f, g):
+    """The Sylvester matrix of f and g, coefficients lowest degree first."""
+    m, k = len(f) - 1, len(g) - 1
+    rows = [[0] * j + f[::-1] + [0] * (k - 1 - j) for j in range(k)]
+    rows += [[0] * j + g[::-1] + [0] * (m - 1 - j) for j in range(m)]
+    return rows
+
+
+def _remainder(poly, f):
+    """poly modulo the monic f, coefficients lowest degree first."""
+    poly = list(poly)
+    while len(poly) >= len(f):
+        top = poly.pop()
+        for i, c in enumerate(f[:-1]):
+            poly[len(poly) - len(f) + 1 + i] -= top * c
+    return poly
+
+
+class TestResultant:
+    def test_resultant_and_cofactor_against_the_sylvester_determinant(self, rng):
+        # Sparse g has degree gaps, and a shared root or g = 0 gives 0.
+        kinds = Counter()
+        for _ in range(400):
+            f = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))] + [1]
+            g = [rng.choice((0, 0, 0, -2, -1, 1, 2)) for _ in range(rng.randint(0, len(f) - 1))]
+            if rng.random() < 0.2:
+                # Times lambda - root, a common factor.
+                root = rng.randint(-2, 2)
+                f, g = ([a - root * b for a, b in zip([0] + u, u + [0])] for u in (f, g))
+            while g and not g[-1]:
+                g.pop()
+            deg = len(f) - 1
+            res, t = _resultant(f, g)
+            if len(g) > 1:
+                want = matrix_determinant(_sylvester_matrix(f, g))
+            else:
+                want = g[0] ** deg if g else 0
+            assert res == want, (f, g)
+            if res:
+                product = [0] * (len(t) + len(g) - 1)
+                for i, a in enumerate(t):
+                    for j, b in enumerate(g):
+                        product[i + j] += a * b
+                product[0] -= res
+                assert not any(_remainder(product, f)), (f, g)
+            kinds[bool(res), len(g) < deg] += 1
+        assert all(kinds[key] for key in [(True, True), (False, False), (False, True)])
+
+    def test_gaussian_integers_are_exact(self):
+        g = _Gaussian(3, -4)
+        assert g * g.conjugate() == 25
+        assert (g * _Gaussian(1, 2)) // g == _Gaussian(1, 2)
+        assert 10 // _Gaussian(1, 3) == _Gaussian(1, -3)
+        # Power sums 2i and -2 are those of the double root i.
+        assert _newton([_Gaussian(0, 2), _Gaussian(-2)]) == [_Gaussian(-1), _Gaussian(0, -2), 1]

@@ -129,6 +129,19 @@ class TestParse:
             parse_multivector("e1 - " + long, Signature(2, 0), FLOAT64)
         assert err.value.offset == 3
 
+    @pytest.mark.parametrize(
+        "number", ["0." + "0" * 400 + "1", "1/1" + "0" * 400], ids=["decimal", "fraction"]
+    )
+    def test_a_nonzero_f64_coefficient_that_rounds_to_zero(self, number):
+        # Below the smallest subnormal the term would vanish silently.
+        with pytest.raises(ParseError, match="rounds to 0") as err:
+            parse_multivector("e1 + " + number, Signature(1, 0), FLOAT64)
+        assert err.value.offset == 5
+        tiny = parse_multivector("e1 - 5/1" + "0" * 324, Signature(1, 0), FLOAT64)
+        assert tiny.coeffs == (-5e-324, 1.0)
+        zero = parse_multivector("e1 + 0." + "0" * 400, Signature(1, 0), FLOAT64)
+        assert zero == Multivector.blade(Signature(1, 0), 1, ring=FLOAT64)
+
 
 class TestFormat:
     def test_examples(self):
@@ -226,6 +239,14 @@ class TestCoeffLines:
         big = 10**5000
         u = Multivector.scalar(Signature(2, 0), Fraction(big, 3))
         assert dump_coeff_lines(u) == f"0 1{'0' * 5000}/3\n"
+
+    def test_load_beyond_the_digit_limit(self):
+        sig = Signature(2, 0)
+        for value in (Fraction(10**5000, 3), -(10**5000) - 1):
+            u = Multivector.scalar(sig, value)
+            assert load_coeff_lines(dump_coeff_lines(u), sig) == u
+        with pytest.raises(ParseError, match="bad fixture line 1"):
+            load_coeff_lines("0 1e" + "0" * 5000 + "\n", sig)
 
     def test_float_ring_load(self):
         sig = Signature(1, 0)

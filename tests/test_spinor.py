@@ -27,7 +27,12 @@ from gasylv import (
 )
 from gasylv import _spinor, sylvester
 from gasylv._spinor import SpinorMatrix
-from conftest import all_signatures, random_mv, random_sparse_mv
+from conftest import (
+    all_signatures,
+    assert_char_poly_answers,
+    random_mv,
+    random_sparse_mv,
+)
 from oracles import oracle_product, word_product, word_to_mask
 
 SIGNATURES = all_signatures(8) + [
@@ -299,6 +304,64 @@ def test_corrupted_numerator_fails_the_matrix_check(sig, kind, bump, rng, monkey
     for method in methods:
         with pytest.raises(ResidualCheckFailedError):
             solve(prob, method)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_the_resultant_inverse_is_that_of_the_char_poly_of_d(sig, kind, rng, inversions):
+    # The exact recursions invert D through the resultant of A's and B's
+    # characteristic polynomials, per block for general_odd.  The four
+    # signatures have a real image, a quaternionic one, two real blocks
+    # and one complex block (Gaussian-integer polynomials).
+    for _ in range(3):
+        prob = _dense_problem(sig, rng, kind)
+        for method in [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2):
+            try:
+                sylvester._solve(prob, method)
+            except SingularProblemError:
+                pass
+    assert all(isinstance(phi.d, SpinorMatrix) for _, phi, _, _ in inversions)
+    assert_char_poly_answers(inversions)
+
+
+@pytest.mark.parametrize("n", range(6, 9))
+def test_the_resultant_inverse_on_sparse_matrices(n, rng, inversions, monkeypatch):
+    # Sparse operands stay on blades, where D's own recursion is cheaper;
+    # on the matrices they give repeated eigenvalues and degree gaps.
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: True)
+    for p in range(n + 1):
+        sig = Signature(p, n - p)
+        prob = SylvesterProblem(*(random_sparse_mv(sig, rng, 3, -3, 3) for _ in range(3)))
+        for method in sylvester._methods_for(n):
+            try:
+                sylvester._solve(prob, method)
+            except SingularProblemError:
+                pass
+    assert all(isinstance(phi.d, SpinorMatrix) for _, phi, _, _ in inversions)
+    assert_char_poly_answers(inversions)
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 3), Signature(2, 2), Signature(4, 3),
+    Signature(3, 4), Signature(2, 1), Signature(1, 2),
+], ids=repr)
+def test_a_wrong_phi_a_is_an_internal_error(sig, rng, monkeypatch):
+    # phi_A(A) = 0 on the powers of A, per block at odd n, is the check
+    # that replaces the Cayley-Hamilton check of the char poly of D.
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: True)
+    newton = sylvester._newton
+
+    def wrong(sums):
+        phi = newton(sums)
+        return [phi[0] + 1] + phi[1:]
+
+    monkeypatch.setattr(sylvester, "_newton", wrong)
+    prob = _dense_problem(sig, rng, "int")
+    for method in [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2):
+        with pytest.raises(InternalError, match="phi_A"):
+            sylvester._solve(prob, method)
 
 
 def test_exact_matrix_answers_skip_the_blade_check(rng, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,9 +34,9 @@ from gasylv import (
     solve_general_odd,
     verify_residual,
 )
-from gasylv import sylvester
+from gasylv import _spinor, sylvester
 from gasylv.sylvester import _methods_for
-from conftest import all_signatures, random_mv
+from conftest import all_signatures, assert_char_poly_answers, random_mv
 from oracles import brute_force_sylvester
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -202,6 +203,121 @@ class TestSingularVerdicts:
                     except SingularProblemError:
                         x = None
                     assert x == oracle, (sig, method, prob)
+
+
+def _gcd_degree(f, g):
+    """The degree of gcd(f, g) over Q, coefficients highest first, by
+    Euclid's algorithm on Fractions."""
+    def strip(poly):
+        while poly and poly[0] == 0:
+            poly.pop(0)
+        return poly
+
+    f, g = strip([Fraction(c) for c in f]), strip([Fraction(c) for c in g])
+    while g:
+        while len(f) >= len(g):
+            factor = f[0] / g[0]
+            f = strip([a - factor * b for a, b in zip(f, g + [0] * (len(f) - len(g)))])
+        f, g = g, f
+    return len(f) - 1
+
+
+def _phi(u):
+    """The characteristic polynomial of u, highest coefficient first."""
+    return [1, *(-c for c in char_poly(u).coeffs)]
+
+
+def _sparse(sig, rng, scalar, terms):
+    return Multivector.from_terms(sig, {
+        0: scalar, **{rng.randrange(1, sig.ncoeffs): rng.choice((-2, -1, 1, 2))
+                      for _ in range(terms)},
+    })
+
+
+class TestResultantInverse:
+    """The exact recursions invert D = phi_B(A) through Res(phi_A, phi_B)
+    and its cofactor, per block of the spinor images for general_odd."""
+
+    @staticmethod
+    def _q(prob, method):
+        try:
+            return sylvester._solve(prob, method).q
+        except SingularProblemError as exc:
+            return exc.q
+
+    @pytest.fixture(params=["blades", "matrices"])
+    def kernel(self, request, monkeypatch):
+        # The resultant route runs on the matrices, which small or sparse
+        # operands reach only when the rule is set aside.
+        if request.param == "matrices":
+            monkeypatch.setattr(_spinor, "pays_off", lambda a, b: True)
+        return request.param
+
+    def test_q_is_zero_exactly_when_phi_a_and_phi_b_share_a_factor(self, rng, kernel):
+        # For general, Q = 0 exactly when gcd(phi_A, phi_B) != 1; for
+        # general at n = 2, 4 and general_odd at n = 3, exactly when
+        # Gaussian elimination finds the problem singular.  B = A and
+        # B = e1 A e1**-1 share every eigenvalue; the sparse pairs kept
+        # share some.
+        seen = Counter()
+        for sig in all_signatures(4, 2):
+            c = random_mv(sig, rng, -2, 2)
+            problems = []
+            for _ in range(6):
+                a, b = (random_mv(sig, rng, -2, 2) for _ in range(2))
+                e1 = Multivector.blade(sig, 1)
+                problems += [(a, b), (a, a), (a, e1 * a * e1 * (e1 * e1).scalar_part())]
+            for _ in range(200):
+                a, b = (_sparse(sig, rng, rng.randint(-2, 2), 2) for _ in range(2))
+                if _gcd_degree(_phi(a), _phi(b)) and _phi(a) != _phi(b):
+                    problems.append((a, b))
+            for a, b in problems:
+                prob = SylvesterProblem(a, b, c)
+                shared = _gcd_degree(_phi(a), _phi(b)) > 0
+                assert (self._q(prob, "general") == 0) == shared, prob
+                method = "general_odd" if sig.dim % 2 else "general"
+                singular = brute_force_sylvester(prob) is None
+                assert (self._q(prob, method) == 0) == singular, prob
+                seen[sig.dim, shared, singular] += 1
+        for n in (2, 3, 4):
+            assert seen[n, True, True] and seen[n, False, False]
+        # At odd n phi_B(A) can vanish across the two blocks.
+        assert seen[3, True, False]
+
+    def test_degree_gaps_give_the_char_poly_answers(self, rng, kernel, inversions):
+        # phi_B - phi_A drops 2 or more degrees below phi_A when A and B
+        # share their first coefficients: sparse pairs with one scalar
+        # part, two of each drop 2 and >= 3 per signature.  B = s + x e_ab
+        # with (e_ab)**2 = -1 has the repeated eigenvalues s +- xi, and
+        # B = s + e1 + e12 a nilpotent part on a repeated s.  The
+        # remainder sequence then skips degrees.
+        drops = Counter()
+        for sig in all_signatures(6, 2):
+            pairs, kept = [], Counter()
+            for _ in range(300):
+                a, b = _sparse(sig, rng, 1, 2), _sparse(sig, rng, 1, 2)
+                diff = [x - y for x, y in zip(_phi(a), _phi(b))]
+                drop = min(3, next((k for k, x in enumerate(diff) if x), 0))
+                if drop and kept[drop] < 2:
+                    kept[drop] += 1
+                    pairs.append((a, b))
+            drops.update(kept)
+            twelve = Multivector.blade(sig, 0b11)
+            one = Multivector.scalar(sig, 1)
+            if (twelve * twelve).scalar_part() < 0:
+                pairs.append((_sparse(sig, rng, 1, 3), one + twelve.scale(2)))
+            if sig.p >= 2:
+                nilpotent = Multivector.blade(sig, 1) + twelve
+                pairs.append((_sparse(sig, rng, 1, 3), one + nilpotent))
+            for a, b in pairs:
+                prob = SylvesterProblem(a, b, random_mv(sig, rng, -2, 2))
+                for method in ("general", "general_odd")[:1 + sig.dim % 2]:
+                    try:
+                        sylvester._solve(prob, method)
+                    except SingularProblemError:
+                        pass
+        assert drops[2] >= 20 and drops[3] >= 20
+        assert_char_poly_answers(inversions)
 
 
 class TestGeneralAssembly:
