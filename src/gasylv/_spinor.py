@@ -24,21 +24,24 @@ an exact answer can be checked by substitution on its images.
 SpinorMatrix offers what the Faddeev-LeVerrier recursion and the D and F
 assembly use of a Multivector: products, sums and scaling, the scalar
 part Re tr / N, the grade-0 and (odd n) grade-n projections from the
-block traces, and the scalar constructor.  A central element is kept as
-one Gaussian scalar per block, so a product with it is a blockwise
-scaling.  Blocks are flat row-major lists of real and imaginary parts,
-the imaginary list None where it is zero.  A matrix carries the ring of
-the element it was made from.  Rational entries are integers:
-SpinorMatrix.of refuses an element with a denominator, and the
-preimage leaves its division by N to the algebra's constructor.  Float
-entries are floats, summed in one order on every interpreter (_total),
-and the preimage divides by N, a power of two.
+block traces, and the scalar constructor.  Blocks are flat row-major
+lists of real and imaginary parts, the imaginary list None where it is
+zero.  A central element is kept as its value on each kept block, so a
+product with it is a blockwise scaling: one plain number per block, an
+int, float or Fraction where the value is real and a _Gaussian only
+where its imaginary part is nonzero.  block_values() reads these values
+off any matrix and central() builds a matrix from them.  A matrix
+carries the ring of the element it was made from.  Rational entries are
+integers: SpinorMatrix.of refuses an element with a denominator, and
+the preimage leaves its division by N to the algebra's constructor.
+Float entries are floats, summed in one order on every interpreter
+(_total), and the preimage divides by N, a power of two.
 
 In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
 tolerances read (max_abs_coeff, nonscalar_norm) are blade coefficients
 of the preimage, as for a Multivector: an entry is a sum of N of them.
-A matrix computes its undivided preimage at most once.
+A matrix computes its preimage at most once.
 """
 
 from __future__ import annotations
@@ -200,11 +203,76 @@ def _representation(sig):
     return _Representation(sig)
 
 
-def _exact(value):
+class _Gaussian:
+    """A complex number real + imag i with what the kernel and the
+    remainder sequence (charpoly._resultant) use of a number; // is exact
+    division.  An operand is read through .real and .imag, which ints,
+    floats and Fractions have too.  A block value is a _Gaussian only
+    where its imaginary part is nonzero (_exact)."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag=0):
+        self.real, self.imag = real, imag
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __neg__(self):
+        return _Gaussian(-self.real, -self.imag)
+
+    def __add__(self, other):
+        return _Gaussian(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Gaussian(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return _Gaussian(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        return _Gaussian(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = _Gaussian(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __floordiv__(self, other):
+        num = self * other.conjugate()
+        norm = other.real * other.real + other.imag * other.imag
+        return _Gaussian(num.real // norm, num.imag // norm)
+
+    def __rfloordiv__(self, other):
+        return _Gaussian(other) // self
+
+    def conjugate(self):
+        return _Gaussian(self.real, -self.imag)
+
+
+def _integer(value):
     """A Fraction that is an integer as an int, so matrices stay on ints."""
     if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+def _exact(value):
+    """A block value in its one form: the real number where the imaginary
+    part is zero, else a _Gaussian, each part through _integer."""
+    re, im = _integer(value.real), value.imag
+    return _Gaussian(re, _integer(im)) if im else re
 
 
 def _entry(value, ring):
@@ -253,9 +321,9 @@ def _block_product(u, v, s):
 
 
 def _block_scaled(u, z):
-    """The Gaussian block u times the Gaussian scalar z."""
+    """The Gaussian block u times the block value z."""
     ur, ui = u
-    zr, zi = z
+    zr, zi = z.real, z.imag
     if not zi:
         return [zr * t for t in ur], None if ui is None else [zr * t for t in ui]
     if ui is None:
@@ -281,9 +349,9 @@ def _block_sum(u, v, op):
 
 class SpinorMatrix:
     """Image of an element of Cl(p,q) over the integers or the floats,
-    never changed once made: Gaussian blocks, or one Gaussian scalar per
-    block for a central element.  The preimage is computed once, on
-    demand."""
+    never changed once made: Gaussian blocks, or for a central element
+    its value on each kept block (block_values), a plain number or a
+    _Gaussian.  The preimage is computed once, on demand."""
 
     __slots__ = ("rep", "ring", "blocks", "center", "_preimage")
 
@@ -301,6 +369,12 @@ class SpinorMatrix:
     def _like(self, blocks=None, center=None):
         """A matrix of the same signature and ring."""
         return SpinorMatrix(self.rep, self.ring, blocks, center)
+
+    def central(self, values):
+        """The central matrix of the same signature and ring whose block
+        values are values; one value stands for every block."""
+        values = tuple(map(_exact, values))
+        return self._like(center=values * (self.rep.count // len(values)))
 
     # -- conversions -------------------------------------------------------
 
@@ -330,22 +404,15 @@ class SpinorMatrix:
     @classmethod
     def scalar(cls, sig, value, ring=RATIONAL):
         rep = _representation(sig)
-        return cls(rep, ring, center=((_entry(value, ring), 0),) * rep.count)
+        return cls(rep, ring, center=(_entry(value, ring),) * rep.count)
 
-    def multivector(self, den=1):
-        """The preimage divided by den; computed once for den = 1, which
-        the norms read."""
-        if den != 1:
-            return self._preimage_over(den)
-        if self._preimage is None:
-            self._preimage = self._preimage_over(1)
-        return self._preimage
-
-    def _preimage_over(self, den):
-        """Coefficient A is Re tr(image(e_A)**-1 M) / (N den).  The
-        imaginary part is the coefficient of e_A times the pseudoscalar
-        on one block at odd n, and rounding in floats; it must vanish
-        otherwise."""
+    def multivector(self):
+        """The preimage, computed once.  Coefficient A is
+        Re tr(image(e_A)**-1 M) / N.  The imaginary part is the
+        coefficient of e_A times the pseudoscalar on one block at odd n,
+        and rounding in floats; it must vanish otherwise."""
+        if self._preimage is not None:
+            return self._preimage
         rep = self.rep
         blocks = self._dense().blocks
         gathered = [
@@ -378,19 +445,21 @@ class SpinorMatrix:
                 raise InternalError("spinor matrix outside the real algebra")
             coeffs.append(re)
         if exact:
-            return _build(rep.sig, RATIONAL, coeffs, rep.degree * den)
-        return _build(rep.sig, FLOAT64, [c / (rep.degree * den) for c in coeffs])
+            self._preimage = _build(rep.sig, RATIONAL, coeffs, rep.degree)
+        else:
+            self._preimage = _build(rep.sig, FLOAT64, [c / rep.degree for c in coeffs])
+        return self._preimage
 
     def _dense(self):
         if self.center is None:
             return self
         s = self.rep.size
         blocks = []
-        for zr, zi in self.center:
+        for z in self.center:
             re, im = [0] * (s * s), [0] * (s * s)
             for p in self.rep.positions[0]:
-                re[p], im[p] = zr, zi
-            blocks.append((re, im if zi else None))
+                re[p], im[p] = z.real, z.imag
+            blocks.append((re, im if z.imag else None))
         return self._like(tuple(blocks))
 
     # -- ring operations ------------------------------------------------------
@@ -408,18 +477,14 @@ class SpinorMatrix:
         ))
 
     def scale(self, value):
-        value = _entry(value, self.ring)
-        return self._times_center(((value, 0),) * self.rep.count)
+        return self._times_center((_entry(value, self.ring),) * self.rep.count)
 
     def _times_center(self, center):
         if self.center is None:
             return self._like(tuple(
                 _block_scaled(u, z) for u, z in zip(self.blocks, center)
             ))
-        return self._like(center=tuple(
-            (_exact(ur * vr - ui * vi), _exact(ur * vi + ui * vr))
-            for (ur, ui), (vr, vi) in zip(self.center, center)
-        ))
+        return self.central(v * w for v, w in zip(self.center, center))
 
     def __add__(self, other):
         return self._plus(other, add)
@@ -429,10 +494,7 @@ class SpinorMatrix:
 
     def _plus(self, other, op):
         if self.center is not None and other.center is not None:
-            return self._like(center=tuple(
-                (_exact(op(ur, vr)), _exact(op(ui, vi)))
-                for (ur, ui), (vr, vi) in zip(self.center, other.center)
-            ))
+            return self.central(map(op, self.center, other.center))
         return self._like(tuple(
             _block_sum(u, v, op)
             for u, v in zip(self._dense().blocks, other._dense().blocks)
@@ -443,24 +505,24 @@ class SpinorMatrix:
     def _divide(self, num, den):
         return num / den if self.ring == FLOAT64 else _value(num, den)
 
-    def _block_values(self):
-        """Per block the Gaussian scalar tr(block) / block size."""
+    def block_values(self):
+        """Per kept block the value tr(block) / block size."""
         if self.center is not None:
             return self.center
         diagonal = self.rep.positions[0]
         s = self.rep.size
         return tuple(
-            (
+            _exact(_Gaussian(
                 self._divide(_total(re[p] for p in diagonal), s),
                 0 if im is None else self._divide(_total(im[p] for p in diagonal), s),
-            )
+            ))
             for re, im in self.blocks
         )
 
     def scalar_part(self):
         """Re tr / N: the mean over the blocks of their block values."""
-        values = self._block_values()
-        return self._divide(_total(zr for zr, _ in values), len(values))
+        values = self.block_values()
+        return self._divide(_total(v.real for v in values), len(values))
 
     def grade_project(self, k):
         """Grade 0, or at odd n grade n: what the block values hold
@@ -469,18 +531,16 @@ class SpinorMatrix:
         n = self.sig.dim
         alpha = self.scalar_part()
         if k == 0:
-            return self._like(center=((alpha, 0),) * self.rep.count)
+            return self.central((alpha,))
         if k == n and n & 1:
-            return self._like(center=tuple(
-                (_exact(zr - alpha), zi) for zr, zi in self._block_values()
-            ))
+            return self.central(v - alpha for v in self.block_values())
         raise ValueError(f"no grade-{k} projection of a spinor matrix")
 
     # -- the exact check ---------------------------------------------------------
 
     def is_zero(self):
         if self.center is not None:
-            return not any(zr or zi for zr, zi in self.center)
+            return not any(self.center)
         return not any(
             any(part) for block in self.blocks for part in block if part is not None
         )

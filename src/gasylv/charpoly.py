@@ -16,9 +16,10 @@ of the closed-form solvers.
 The exact solvers on spinor matrices invert D = phi_B(A) with none of
 this: Newton's identities give a characteristic polynomial from the
 traces of powers, and one subresultant remainder sequence gives the
-resultant of two polynomials and its cofactor (_resultant), over the
-integers or, for the one complex block of M(N/2, C), the Gaussian
-integers.
+resultant of two polynomials and its cofactor (_resultant).  Both name
+no number type: they run on the block values of _spinor, integers, or
+for the one complex block of M(N/2, C) Gaussian integers
+(_spinor._Gaussian).
 """
 
 from __future__ import annotations
@@ -200,73 +201,6 @@ def _as_scalar(u, reference):
             f"non-scalar residue {residue} in a determinant expression"
         )
     return u.scalar_part()
-
-
-class _Gaussian:
-    """A Gaussian integer re + im i, with what the remainder sequence uses
-    of an int; // is exact division.  The coefficients of the one complex
-    block of Cl(p,q) = M(N/2, C) are Gaussian integers."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=0):
-        self.re, self.im = re, im
-
-    def __repr__(self):
-        return f"_Gaussian({self.re}, {self.im})"
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        other = _gaussian(other)
-        return self.re == other.re and self.im == other.im
-
-    def __neg__(self):
-        return _Gaussian(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = _gaussian(other)
-        return _Gaussian(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -_gaussian(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _Gaussian(self.re * other, self.im * other)
-        return _Gaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = _Gaussian(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __floordiv__(self, other):
-        if isinstance(other, int):
-            return _Gaussian(self.re // other, self.im // other)
-        return self * other.conjugate() // (other.re * other.re + other.im * other.im)
-
-    def __rfloordiv__(self, other):
-        return _Gaussian(other) // self
-
-    def conjugate(self):
-        return _Gaussian(self.re, -self.im)
-
-
-def _gaussian(value):
-    return value if isinstance(value, _Gaussian) else _Gaussian(value)
 
 
 def _trim(poly):

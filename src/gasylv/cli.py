@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import charpoly as cp
 from . import sylvester as sylv

@@ -59,7 +59,6 @@ from .algebra import (
 from .charpoly import (
     _as_scalar,
     _closed_adjugate,
-    _Gaussian,
     _newton,
     _resultant,
     char_poly,
@@ -224,24 +223,11 @@ def _adjugate(phi, method):
     return _resultant_adjugate(phi, method)
 
 
-def _block_values(u):
-    """Per block of an exact spinor matrix, tr(block) / block size: an int
-    per block, or one _Gaussian for the one complex block of M(N/2, C)."""
-    if u.rep.onto:
-        return tuple(_Gaussian(re, im) for re, im in u._block_values())
-    return tuple(re for re, _ in u._block_values())
-
-
 def _sum_at_a(pw, columns):
     """sum_k T_k pw[k] for the central T_k whose block values are
-    columns[k], one value standing for every block: blockwise scalings
-    and sums."""
-    count = pw[0].rep.count
+    columns[k]: blockwise scalings and sums."""
     return reduce(add, (
-        u * pw[0]._like(center=tuple(
-            (v.re, v.im) if isinstance(v, _Gaussian) else (v, 0) for v in values
-        ) * (count // len(values)))
-        for u, values in zip(pw, columns) if any(values)
+        u * pw[0].central(values) for u, values in zip(pw, columns) if any(values)
     ))
 
 
@@ -268,8 +254,8 @@ def _resultant_adjugate(phi, method):
         sums = [[size * u.scalar_part()] for u in pw[1:]]
         b_values = [[c] for c in coeffs]
     else:
-        sums = [[size * v for v in _block_values(u)] for u in pw[1:]]
-        b_values = [_block_values(c) for c in coeffs]
+        sums = [[size * v for v in u.block_values()] for u in pw[1:]]
+        b_values = [c.block_values() for c in coeffs]
     phi_a = [_newton(block) for block in zip(*sums)]
     if not _sum_at_a(pw, list(zip(*phi_a))).is_zero():
         raise InternalError("phi_A(A) is not zero: A's power sums are wrong")
@@ -281,7 +267,8 @@ def _resultant_adjugate(phi, method):
             return pw[0].scale(0), 0
         dets.append(res)
         cofactors.append(t + [0] * (size - len(t)))
-    if isinstance(dets[0], _Gaussian):
+    if method == GENERAL_ODD and len(dets) == 1:
+        # Odd n keeping one block: M(N/2, C), whose other is its conjugate.
         dets.append(dets[0].conjugate())
     det = reduce(mul, dets)
     others = [det // d for d in dets]
@@ -289,7 +276,7 @@ def _resultant_adjugate(phi, method):
         tuple(-other * t[k] for other, t in zip(others, cofactors))
         for k in range(size)
     ])
-    return adj, -(det.re if isinstance(det, _Gaussian) else det)
+    return adj, -det.real
 
 
 def solve_general(prob):
@@ -375,9 +362,9 @@ def _float_x(prob, m, q):
 
 def _blades(u, den=1):
     """An element of either kernel as a Multivector divided by den."""
-    if isinstance(u, Multivector):
-        return u if den == 1 else u / den
-    return u.multivector(den)
+    if not isinstance(u, Multivector):
+        u = u.multivector()
+    return u if den == 1 else u / den
 
 
 def _solve(prob, method):

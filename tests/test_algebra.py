@@ -70,6 +70,8 @@ class TestBladeProduct:
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             blade_product(16, 0, Signature(2, 2))
+        with pytest.raises(ValueError, match="blade mask 16 out of range"):
+            Multivector.blade(Signature(2, 2), 16)
 
     def test_all_pairs_match_word_oracle(self):
         for sig in all_signatures(4):
@@ -167,6 +169,8 @@ class TestGeometricProduct:
         u = random_mv(sig, rng, -3, 3)
         assert u ** 0 == Multivector.scalar(sig, 1)
         assert u ** 3 == u * u * u
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            u ** -1
 
 
 N4_SIGNATURES = [Signature(p, 4 - p) for p in range(5)]
@@ -371,6 +375,8 @@ class TestConjugations:
             conjugate(u, "triangle_j")
         with pytest.raises(ValueError):
             conjugate(u, "nonsense")
+        with pytest.raises(ValueError, match="index j is only valid for triangle_j"):
+            conjugate(u, "hat", 2)
 
     def test_hat_is_automorphism(self, rng):
         for sig in all_signatures(5):
@@ -460,8 +466,9 @@ class TestScalarViaConjugations:
 
     def test_equals_coefficient_lookup(self, rng):
         for sig in all_signatures(6):
-            u = random_mv(sig, rng)
-            assert scalar_via_conjugations(u) == u.coeffs[0]
+            for ring in (RATIONAL, FLOAT64):
+                u = random_mv(sig, rng, ring=ring)
+                assert scalar_via_conjugations(u) == u.coeffs[0]
 
 
 @given(st.lists(st.integers(-50, 50), min_size=8, max_size=8))
@@ -563,6 +570,10 @@ class TestRepresentation:
 
     def test_public_constructor_refuses_bad_values(self):
         sig = Signature(1, 0)
+        with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):
+            Multivector(sig, [1, 0, 0])
+        with pytest.raises(RingMismatchError, match="unknown scalar ring 'f32'"):
+            Multivector(sig, [1, 0], "f32")
         for ring, bad in ((RATIONAL, True), (RATIONAL, 0.5), (FLOAT64, 10**400)):
             with pytest.raises((RingMismatchError, NonFiniteError)):
                 Multivector(sig, [bad, 0], ring)

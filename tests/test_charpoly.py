@@ -27,13 +27,14 @@ from gasylv import (
     parse_multivector,
 )
 from gasylv.charpoly import (
+    _as_scalar,
     _central_coeff,
     _faddeev_leverrier,
-    _Gaussian,
     _newton,
     _resultant,
     _scalar_coeff,
 )
+from gasylv._spinor import _Gaussian
 from conftest import all_signatures, random_mv, random_sparse_mv
 from oracles import matrix_determinant
 
@@ -80,6 +81,20 @@ class TestCharPoly:
         for sig in all_signatures(5):
             data = char_poly(random_mv(sig, rng, -4, 4))
             assert data.iterates[-1].nonscalar_norm() == 0
+
+    @pytest.mark.parametrize("ring, error, message", [
+        (RATIONAL, InternalError, "expected a pure scalar result"),
+        (FLOAT64, NumericalDegradationError,
+         "non-scalar residue 1.0 in a determinant expression"),
+    ])
+    def test_a_non_scalar_result_is_refused(self, ring, error, message):
+        # The zero test of a reference 1 is 2e-9 in f64; a residue of 1
+        # fails it, and any residue is refused in the exact ring.
+        sig = Signature(2, 1)
+        one = Multivector.scalar(sig, 1, ring)
+        assert _as_scalar(Multivector.scalar(sig, 2, ring), one) == 2
+        with pytest.raises(error, match=message):
+            _as_scalar(Multivector.from_terms(sig, {0: 2, 3: 1}, ring), one)
 
     def test_scalar_element(self):
         # Det(lambda e) = lambda**N.

@@ -73,12 +73,13 @@ def test_round_trip_is_exact(sig, rng):
 
 
 def test_a_fraction_element_is_refused():
-    # The matrices hold integers; a fraction element enters scaled.
+    # The matrices hold integers; a fraction element enters scaled, and
+    # its preimage leaves divided back.
     sig = Signature(3, 3)
     half = Multivector.from_terms(sig, {0: Fraction(1, 2), 5: 1})
     with pytest.raises(InternalError):
         SpinorMatrix.of(half)
-    assert SpinorMatrix.of(half.scale(2)).multivector(2) == half
+    assert sylvester._blades(SpinorMatrix.of(half.scale(2)), 2) == half
 
 
 @pytest.mark.parametrize("sig", all_signatures(7, 3), ids=repr)
@@ -95,6 +96,8 @@ def test_projections_match_the_blade_ones(sig, rng):
     assert (three - m).multivector() == Multivector.scalar(sig, 3) - u
     assert m.nonscalar_norm() > 0
     assert SpinorMatrix.of(u.grade_project(0)).nonscalar_norm() == 0
+    with pytest.raises(ValueError, match="no grade-1 projection of a spinor matrix"):
+        m.grade_project(1)
 
 
 def _dense_problem(sig, rng, kind):
@@ -259,12 +262,46 @@ def test_central_matrices_and_real_blocks_times_complex_scalars():
     (block,) = m.blocks
     assert block[1] is None
     center = center_project(SpinorMatrix.of(pseudo))
-    ((zr, zi),) = center.center
-    assert zr == 0 and zi
+    (z,) = center.block_values()
+    assert center.center == (z,) and z == _spinor._Gaussian(0, z.imag) and z.imag
     assert not center.is_zero()
     assert (m * center).multivector() == u * pseudo
     assert (center * m).multivector() == pseudo * u
-    assert _spinor._block_scaled(([1, 2], None), (2, 3)) == ([2, 4], [3, 6])
+    assert _spinor._block_scaled(([1, 2], None), _spinor._Gaussian(2, 3)) == ([2, 4], [3, 6])
+    # Cl(2,1) keeps two blocks, told apart by the pseudoscalar: one value
+    # stands for both, and a real block value is a plain int.
+    sig = Signature(2, 1)
+    m = SpinorMatrix.of(Multivector.from_terms(sig, {0: 2, 7: 3}))
+    values = m.block_values()
+    assert sorted(values) == [-1, 5] and {type(v) for v in values} == {int}
+    assert m.central(values).multivector() == m.multivector()
+    assert m.central((4,)).multivector() == Multivector.scalar(sig, 4)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, float])
+def test_gaussian_values_take_plain_number_operands(kind, rng):
+    # Block values mix _Gaussian with ints, Fractions and floats on either
+    # side; an f64 product rounds as the (re, im) formula
+    # (ur vr - ui vi, ur vi + ui vr) does.
+    G = _spinor._Gaussian
+    half = kind(1) / 2 if kind is not int else 1
+    g, x = G(kind(3), kind(-4)), kind(6) * half
+    assert g + x == G(3 + x, -4) and x + g == G(x + 3, -4)
+    assert g - x == G(3 - x, -4) and x - g == G(x - 3, 4)
+    assert g * x == G(3 * x, -4 * x) and x * g == g * x
+    assert (g * x) // x == g and (x * 5) // G(kind(1), kind(2)) == G(x, -2 * x)
+    assert g * g.conjugate() == 25 and -g == G(-3, 4) and g != G(3, 4)
+    assert G(x) == x and x == G(x) and G(kind(0), kind(0)) == 0
+    assert g and not G(kind(0)) and G(kind(0), half)
+    exact = _spinor._exact(G(Fraction(4, 2), Fraction(3)))
+    assert exact == G(2, 3) and (type(exact.real), type(exact.imag)) == (int, int)
+    assert type(_spinor._exact(G(Fraction(4, 2), kind(0)))) is int
+    for _ in range(100):
+        ur, ui, vr, vi = (rng.uniform(-1, 1) for _ in range(4))
+        for v, (wr, wi) in ((G(vr, vi), (vr, vi)), (vr, (vr, 0))):
+            for got in (G(ur, ui) * v, v * G(ur, ui)):
+                want = (ur * wr - ui * wi, ur * wi + ui * wr)
+                assert (got.real.hex(), got.imag.hex()) == tuple(t.hex() for t in want)
 
 
 def test_a_numerator_outside_the_images_is_refused(rng):
