@@ -41,7 +41,8 @@ In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
 tolerances read (max_abs_coeff, nonscalar_norm) are blade coefficients
 of the preimage, as for a Multivector: an entry is a sum of N of them.
-A matrix computes its preimage at most once.
+A matrix made by SpinorMatrix.of keeps its element as the preimage;
+any other computes its preimage at most once.
 """
 
 from __future__ import annotations
@@ -351,7 +352,8 @@ class SpinorMatrix:
     """Image of an element of Cl(p,q) over the integers or the floats,
     never changed once made: Gaussian blocks, or for a central element
     its value on each kept block (block_values), a plain number or a
-    _Gaussian.  The preimage is computed once, on demand."""
+    _Gaussian.  The preimage is the element a matrix was made from, or
+    is computed once, on demand."""
 
     __slots__ = ("rep", "ring", "blocks", "center", "_preimage")
 
@@ -381,7 +383,7 @@ class SpinorMatrix:
     @classmethod
     def of(cls, u):
         """The image of an f64 Multivector, or of a rational one with
-        integer coefficients."""
+        integer coefficients, which keeps u as its preimage."""
         if u._den != 1:
             raise InternalError("a rational spinor matrix holds integers only")
         rep = _representation(u.sig)
@@ -399,7 +401,9 @@ class SpinorMatrix:
                     target[p] += sign * c
             re, im = parts
             blocks.append((re, im if any(im) else None))
-        return cls(rep, u.ring, tuple(blocks))
+        image = cls(rep, u.ring, tuple(blocks))
+        image._preimage = u
+        return image
 
     @classmethod
     def scalar(cls, sig, value, ring=RATIONAL):

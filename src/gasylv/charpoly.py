@@ -45,24 +45,6 @@ from .errors import (
 ZERO_TOL = 1e-9
 
 
-def _within_det_scale(value, b):
-    """abs(value) <= ZERO_TOL * (1 + max|b|**N), the zero test for
-    determinant-sized quantities, which scale like the N-th power of the
-    coefficient size.  The power is split with frexp, and compared in
-    log space where it would overflow a float."""
-    value = abs(value)
-    big_n = b.sig.charpoly_degree
-    mant, exp = math.frexp(float(b.max_abs_coeff()))
-    mant **= big_n
-    exp *= big_n
-    if exp < 1000:
-        return value <= ZERO_TOL * (1.0 + math.ldexp(mant, exp))
-    # The threshold exceeds 2**(1000 - N): the 1 is far below its ulp.
-    if not 0 < value < math.inf:
-        return value == 0
-    return math.log2(value) <= math.log2(ZERO_TOL) + math.log2(mant) + exp
-
-
 @dataclass(frozen=True)
 class CharPolyData:
     """Iterates B_(1)..B_(N), scalar coefficients b_(1)..b_(N) and the
@@ -160,11 +142,20 @@ def adjugate(b):
 
 
 def is_zero_scalar(value, b):
-    """Ring-aware zero test for a determinant-sized scalar derived
-    from the element b."""
+    """Whether a determinant-sized scalar derived from the element b is
+    zero: exactly in the rational ring, and in f64 when it is finite and
+    |value| <= ZERO_TOL * (1 + max|b|**N), for such values scale like
+    the N-th power of b's coefficients.  The bound is compared on the
+    exact ratios of the floats, as integers, so it cannot overflow."""
     if b.ring == RATIONAL:
         return value == 0
-    return _within_det_scale(value, b)
+    if not math.isfinite(value):
+        return False
+    v, dv = abs(value).as_integer_ratio()
+    t, dt = ZERO_TOL.as_integer_ratio()
+    m, dm = b.max_abs_coeff().as_integer_ratio()
+    big_n = b.sig.charpoly_degree
+    return v * dt * dm ** big_n <= t * dv * (dm ** big_n + m ** big_n)
 
 
 def inverse(b):
@@ -193,14 +184,13 @@ def generalized_coeffs(b):
 
 def _as_scalar(u, reference):
     residue = u.nonscalar_norm()
+    if is_zero_scalar(residue, reference):
+        return u.scalar_part()
     if u.ring == RATIONAL:
-        if residue != 0:
-            raise InternalError("expected a pure scalar result")
-    elif not _within_det_scale(residue, reference):
-        raise NumericalDegradationError(
-            f"non-scalar residue {residue} in a determinant expression"
-        )
-    return u.scalar_part()
+        raise InternalError("expected a pure scalar result")
+    raise NumericalDegradationError(
+        f"non-scalar residue {residue} in a determinant expression"
+    )
 
 
 def _trim(poly):
@@ -307,4 +297,5 @@ def closed_form_det(b):
 
     Cross-check oracle for determinant(); not used by the solvers.
     """
+    _require_finite(b)
     return _as_scalar(b * _closed_adjugate(b), b)

@@ -125,6 +125,17 @@ class TestGeometricProduct:
                 w = random_mv(sig, rng, -4, 4)
                 assert (u * v) * w == u * (v * w)
 
+    def test_numbers_as_operands(self):
+        # A number times an element scales it; a number is not added to
+        # or equal to an element, and an element is not a divisor.
+        u = Multivector.from_terms(Signature(2, 1), {0: 1, 3: 2})
+        assert 3 * u == u.scale(3)
+        for op in (lambda: u + 1, lambda: u - 1, lambda: 1 + u, lambda: u / u):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+        assert (u == 1) is False and (u != 1) is True
+        assert repr(u) == "<Multivector Cl(2,1) 1 + 2e12>"
+
     def test_signature_mismatch(self):
         u = Multivector.scalar(Signature(1, 1), 1)
         v = Multivector.scalar(Signature(2, 0), 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -27,12 +28,14 @@ from gasylv import (
     parse_multivector,
 )
 from gasylv.charpoly import (
+    ZERO_TOL,
     _as_scalar,
     _central_coeff,
     _faddeev_leverrier,
     _newton,
     _resultant,
     _scalar_coeff,
+    is_zero_scalar,
 )
 from gasylv._spinor import _Gaussian
 from conftest import all_signatures, random_mv, random_sparse_mv
@@ -115,13 +118,13 @@ class TestCharPoly:
     def test_non_finite_element_rejected(self, bad):
         sig = Signature(2, 0)
         b = Multivector(sig, [1.0, 0.0, bad, 0.0], FLOAT64)
-        for fn in (char_poly, determinant, adjugate, inverse):
+        for fn in (char_poly, determinant, adjugate, inverse, closed_form_det):
             with pytest.raises(NonFiniteError):
                 fn(b)
 
     def test_float_overflow_is_refused(self):
-        # |b|**N overflows a float: the zero-test scale is compared in
-        # log space, and the overflowing coefficient is refused.
+        # |b|**N overflows a float, the zero test's exact bound does not,
+        # and the overflowing coefficient is refused.
         sig = Signature(2, 0)
         b = Multivector(sig, [1e200, 1.0, 0.0, 0.0], FLOAT64)
         with pytest.raises(NumericalDegradationError):
@@ -139,6 +142,30 @@ class TestCharPoly:
         big = Multivector.scalar(sig, 1e76, FLOAT64)
         assert determinant(big) == pytest.approx(1e304, rel=1e-12)
         assert inverse(big).coeffs[0] == pytest.approx(1e-76, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_the_zero_test_is_the_exact_bound(self, n):
+        # In f64, |v| <= ZERO_TOL * (1 + max|b|**N) in exact arithmetic,
+        # N up to 256, for max|b| from subnormal to a power beyond
+        # 2**1024, where a float bound would overflow; a value that is
+        # not finite is not zero.
+        sig = Signature(n, 0)
+        big_n = sig.charpoly_degree
+        for size in (0.0, 5e-324, 1e-300, 1e-3, 1.0, 1.5, 30.0, 1e300):
+            b = Multivector.from_terms(sig, {0: size / 2, 1: -size}, FLOAT64)
+            bound = Fraction(ZERO_TOL) * (1 + Fraction(size) ** big_n)
+            values = [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, math.nan]
+            if bound <= Fraction(sys.float_info.max):
+                edge = float(bound)
+                values += [edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf)]
+            for v in values:
+                for value in (v, -v):
+                    want = math.isfinite(value) and Fraction(abs(value)) <= bound
+                    assert is_zero_scalar(value, b) is want, (size, value)
+        # The exact ring tests value == 0, whatever the size of b.
+        b = Multivector.scalar(sig, 10**400)
+        assert is_zero_scalar(0, b) and is_zero_scalar(Fraction(0), b)
+        assert not is_zero_scalar(Fraction(1, 10**400), b)
 
     def test_fraction_element_runs_on_its_integer_multiple(self, rng):
         # With s the lcm of b's denominators, the k-th iterate,

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import runpy
 import sys
 from decimal import Decimal
 from pathlib import Path
@@ -342,6 +343,23 @@ class TestOtherCommands:
 _SOLVE_N4 = [
     "solve", "--signature", "2,2", "--a", "2 + e1", "--b", "-3 + e2", "--c", "1 + e3",
 ]
+
+
+class TestProgram:
+    @pytest.mark.parametrize("command, b, code", [
+        ("det", "3 + e1", 0),
+        ("inverse", "1 + e1", 2),
+    ])
+    def test_the_module_exits_with_the_code_of_main(self, capsys, monkeypatch, command, b, code):
+        # python -m gasylv.cli, which runs the __main__ guard and entrypoint.
+        monkeypatch.delitem(sys.modules, "gasylv.cli")
+        argv = [command, "--signature", "2,0", "--b", b]
+        monkeypatch.setattr(sys, "argv", ["gasylv", *argv])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("gasylv.cli", run_name="__main__")
+        assert stop.value.code == code
+        out, err = capsys.readouterr()
+        assert (out, err) == run(capsys, *argv)[1:]
 
 
 class TestNoStateBetweenCalls:

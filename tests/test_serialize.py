@@ -16,6 +16,7 @@ from gasylv import (
     load_coeff_lines,
     parse_multivector,
 )
+from gasylv.serialize import blade_name
 from conftest import all_signatures, random_mv
 
 
@@ -153,6 +154,12 @@ class TestFormat:
 
     def test_zero(self):
         assert format_multivector(Multivector.zero(Signature(2, 0))) == "0"
+
+    def test_blade_names(self):
+        # The identity blade is e, as parsed; from n = 10 indices take commas.
+        assert [blade_name(0, n) for n in (1, 10)] == ["e", "e"]
+        assert blade_name(0b101, 3) == "e13"
+        assert blade_name(0b101 | 1 << 9, 10) == "e{1,3,10}"
 
     def test_grade_then_mask_order(self):
         sig = Signature(4, 0)

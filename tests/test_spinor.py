@@ -64,8 +64,10 @@ def test_homomorphism_against_the_word_oracle(sig, rng):
 @pytest.mark.parametrize("sig", SIGNATURES, ids=repr)
 def test_round_trip_is_exact(sig, rng):
     u = random_mv(sig, rng, -10**30, 10**30)
-    assert SpinorMatrix.of(u).multivector() == u
     m = SpinorMatrix.of(u)
+    # The image keeps u; the same blocks alone convert back to it.
+    assert m.multivector() is u
+    assert m._like(m.blocks).multivector() == u
     assert m.scalar_part() == u.coeffs[0]
     v = random_mv(sig, rng)
     assert (m - SpinorMatrix.of(v)).multivector() == u - v
@@ -471,14 +473,15 @@ def test_float_round_trip_is_exact(sig, rng):
     # the division by N is by a power of two.
     u = _as_float(random_mv(sig, rng, -10**6, 10**6))
     m = SpinorMatrix.of(u)
-    assert m.ring == FLOAT64
-    got = m.multivector()
+    assert m.ring == FLOAT64 and m.multivector() is u
+    fresh = m._like(m.blocks)
+    got = fresh.multivector()
     assert got.ring == FLOAT64 and got == u
     assert all(type(c) is float for c in got.coeffs)
     assert m.scalar_part() == u.coeffs[0]
     # The float tolerances read blade coefficients, not matrix entries.
-    assert m.max_abs_coeff() == u.max_abs_coeff()
-    assert m.nonscalar_norm() == u.nonscalar_norm()
+    assert fresh.max_abs_coeff() == u.max_abs_coeff()
+    assert fresh.nonscalar_norm() == u.nonscalar_norm()
     assert (m * SpinorMatrix.scalar(sig, 3, FLOAT64)).multivector() == u.scale(3)
 
 
