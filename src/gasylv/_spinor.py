@@ -54,21 +54,28 @@ from operator import add, sub
 from .algebra import FLOAT64, RATIONAL, _build, _value
 from .errors import InternalError
 
-# The matrices pay off from this n, and once nnz(A) nnz(B) reaches
-# MIN_PAIRS.  Measured on whole solves with a scalar plus k random
-# blades in A and B: at n = 6..8 the blade loop won up to 5x with
-# nnz = 5 or 7 and the matrices won 1.2-6.5x with nnz = 11.
-MIN_DIM = 6
+# The matrices pay off from this n in each ring, and once nnz(A) nnz(B)
+# reaches MIN_PAIRS.  Measured on whole solves with a scalar plus k
+# random blades in A and B: at n = 6..8 the blade loop won up to 5x with
+# nnz = 5 or 7 and the matrices won 1.2-6.5x with nnz = 11.  At n = 5
+# the time of closed_n5 on blades over that of general_odd on the
+# matrices, ints and k/d, was 0.5-1.0 at nnz = 6, 1.06-1.46 at nnz = 8
+# and 1.3-1.85 dense, except in the two H + H algebras Cl(1,4) and
+# Cl(5,0): 0.76-0.87 at nnz = 8 and 0.96-1.10 dense.  f64 stays at
+# n = 6, where tests/fixtures/float_golden.json pins the n = 5 answers
+# of both recursions bit for bit.
+MIN_DIM = {RATIONAL: 5, FLOAT64: 6}
 MIN_PAIRS = 64
 
 
 def pays_off(a, b):
     """Whether the recursions of AX - XB = C run faster on the spinor
-    matrices of A and B than on their blades, in either ring.  The blade
-    loop skips zero coefficients, and the recursions on sparse operands
-    stay sparse, so the matrices are used only for operands that are
-    dense enough."""
-    if a.sig.dim < MIN_DIM:
+    matrices of A and B than on their blades; where it holds, solve's
+    default takes a recursion over a closed form.  The blade loop skips
+    zero coefficients, and the recursions on sparse operands stay
+    sparse, so the matrices are used only for operands that are dense
+    enough."""
+    if a.sig.dim < MIN_DIM[a.ring]:
         return False
     nnz_a = len(a._num) - a._num.count(0)
     nnz_b = len(b._num) - b._num.count(0)
@@ -295,12 +302,30 @@ def _dot(s):
     return eval("lambda u, v: 0" + "".join(f" + u[{k}] * v[{k}]" for k in range(s)))
 
 
-def _matmul(a, b, s):
-    """Product of two flat s x s matrices."""
-    rows = [a[i:i + s] for i in range(0, s * s, s)]
-    cols = [b[j::s] for j in range(s)]
-    dot = _dot(s)
-    return [dot(row, col) for row in rows for col in cols]
+@lru_cache(maxsize=None)
+def _matmul(s):
+    """The product of two flat s x s matrices, generated once per s.  It
+    unpacks b once, then each row r of a, and appends the row's s sums
+    0 + r0 b_j + r1 b_(s+j) + ..., in _total's order, as one tuple.  The
+    code has s**2 terms: compiling it peaks at 0.14 MB traced at s = 8
+    and 30 MB at s = 128, the block size of n = 14 and 15."""
+    b = [f"b{k}" for k in range(s * s)]
+    r = [f"r{k}" for k in range(s)]
+    sums = ", ".join(
+        "0" + "".join(f" + {r[k]} * {b[k * s + j]}" for k in range(s))
+        for j in range(s)
+    )
+    code = (
+        "def product(a, b):\n"
+        f"    {', '.join(b)}, = b\n"
+        "    out = []\n"
+        f"    for {', '.join(r)}, in zip(*[iter(a)] * {s}):\n"
+        f"        out += ({sums},)\n"
+        "    return out\n"
+    )
+    namespace = {}
+    exec(code, namespace)
+    return namespace["product"]
 
 
 def _block_product(u, v, s):
@@ -308,13 +333,14 @@ def _block_product(u, v, s):
     real products when both have imaginary parts."""
     ur, ui = u
     vr, vi = v
+    product = _matmul(s)
     if ui is None:
-        return _matmul(ur, vr, s), None if vi is None else _matmul(ur, vi, s)
+        return product(ur, vr), None if vi is None else product(ur, vi)
     if vi is None:
-        return _matmul(ur, vr, s), _matmul(ui, vr, s)
-    rr = _matmul(ur, vr, s)
-    ii = _matmul(ui, vi, s)
-    mixed = _matmul(list(map(add, ur, ui)), list(map(add, vr, vi)), s)
+        return product(ur, vr), product(ui, vr)
+    rr = product(ur, vr)
+    ii = product(ui, vi)
+    mixed = product(list(map(add, ur, ui)), list(map(add, vr, vi)))
     return (
         list(map(sub, rr, ii)),
         [t - x - y for t, x, y in zip(mixed, rr, ii)],

@@ -20,12 +20,13 @@ with general_odd.
 
 A rational problem is solved as integers, scaled once (see _solve).
 The recursions run on one of two kernels, chosen from the problem
-alone: the blade loop of Multivector, or, for dense operands at n >= 6
-in either ring, the spinor matrices of _spinor, N x N complex matrices
-whose product costs O(N**3) against the blade loop's 4**n.  The closed
-forms, which conjugate, stay on blades.  In the rational ring both
-kernels give the same D, F, M and Q, and an answer is checked on the
-kernel that computed it: AM - MB - QC = 0 on the numerator
+alone: the blade loop of Multivector, or, for dense operands from n = 5
+in the rational ring and n = 6 in f64, the spinor matrices of _spinor,
+N x N complex matrices whose product costs O(N**3) against the blade
+loop's 4**n.  The closed forms, which conjugate, stay on blades, and
+the default skips them where the matrices pay off.  In the rational
+ring both kernels give the same D, F, M and Q, and an answer is checked
+on the kernel that computed it: AM - MB - QC = 0 on the numerator
 M = Adj(D)F is Q times AX - XB - C, and X = M / Q is the one division.
 In f64 the kernels differ by rounding, and the residual check judges
 either answer on the blades, where the flag is defined.
@@ -412,10 +413,15 @@ def solve(prob, method=None):
     """Solve AX - XB = C, by default with the first method of the table
     that accepts n: closed forms for n <= 5 (n = 4 defaults to the
     tilde/sharp variant), the odd-n recursion for odd n >= 7, the
-    general recursion otherwise.
+    general recursion otherwise.  Where the recursions run on the spinor
+    matrices (_spinor.pays_off: dense exact operands at n = 5), the
+    default skips the closed forms; its Q is then -Det(D), not Det(D).
     """
     if method is None:
-        method = _methods_for(prob.sig.dim)[0]
+        methods = _methods_for(prob.sig.dim)
+        if _spinor.pays_off(prob.a, prob.b):
+            methods = [m for m in methods if m in _RECURSIONS]
+        method = methods[0]
     if method == GENERAL:
         return solve_general(prob)
     if method == GENERAL_ODD:

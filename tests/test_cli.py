@@ -5,6 +5,7 @@ import json
 import runpy
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,43 @@ class TestSolve:
         numerator = parse_multivector(payload["X"]["numerator"], sig, RATIONAL)
         assert numerator == ex["x_num"]
         assert payload["X"]["denominator"] == ex["q"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dense_n5_default_is_the_recursion(self, capsys, fmt):
+        # Dense exact operands at n = 5 run general_odd on the spinor
+        # matrices by default, and Q is the recursion's -Det(D), the
+        # negative of the fixture's closed_n5 Q.  Sparse literals keep
+        # closed_n5.
+        ex = load_example("example2")
+        sig = ex["sig"]
+        assert sig.dim == 5
+        code, out, _ = run(
+            capsys, "solve",
+            "--signature", f"{sig.p},{sig.q}",
+            "--a", format_multivector(ex["a"]),
+            "--b", format_multivector(ex["b"]),
+            "--c", format_multivector(ex["c"]),
+            "--format", fmt,
+        )
+        assert code == 0
+        want_q = -Fraction(ex["q"])
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["method"] == "general_odd"
+            assert Fraction(payload["Q"]) == want_q
+        else:
+            assert "method: general_odd" in out.splitlines()
+            assert f"Q = {want_q}" in out.splitlines()
+        code, out, _ = run(
+            capsys, "solve", "--signature", "3,2",
+            "--a", "2 + e1 - e24", "--b", "-1 + e12 + 3e345", "--c", "e5",
+            "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["method"] == "closed_n5"
+        else:
+            assert "method: closed_n5" in out.splitlines()
 
     def test_text_output_lines(self, capsys):
         code, out, _ = run(

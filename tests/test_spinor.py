@@ -11,6 +11,7 @@ import pytest
 
 from gasylv import (
     FLOAT64,
+    RATIONAL,
     InternalError,
     Multivector,
     NumericalDegradationError,
@@ -143,11 +144,12 @@ def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("kind", ["int", "frac"])
 def test_the_kernel_rule_keeps_closed_forms_on_blades(n, kind, rng, monkeypatch):
-    # With the matrices allowed from n = 1, the recursions run on them
-    # wherever the operands are dense enough, and the closed forms, which
-    # conjugate, stay on blades: every method gives the blade answers.
-    # No coefficient is zero, so from n = 3 on nnz(A) nnz(B) >= 64.
-    monkeypatch.setattr(_spinor, "MIN_DIM", 1)
+    # With the matrices allowed from n = 1 in the rational ring, the
+    # recursions run on them wherever the operands are dense enough, and
+    # the closed forms, which conjugate, stay on blades: every method
+    # gives the blade answers.  No coefficient is zero, so from n = 3 on
+    # nnz(A) nnz(B) >= 64.
+    monkeypatch.setitem(_spinor.MIN_DIM, RATIONAL, 1)
     for sig in (Signature(n - n // 2, n // 2), Signature(n // 2, n - n // 2)):
         given = _dense_problem(sig, rng, kind)
         prob = SylvesterProblem(*(
@@ -169,6 +171,22 @@ def test_the_kernel_rule_keeps_closed_forms_on_blades(n, kind, rng, monkeypatch)
         with monkeypatch.context() as blades_only:
             blades_only.setattr(_spinor, "pays_off", lambda a, b: False)
             assert answers() == matrix
+
+
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_dense_exact_n5_defaults_to_the_matrices(p, kind, rng):
+    # The default takes general_odd on the spinor matrices: the X, D and
+    # F of closed_n5, and Q = -Det(D) where closed_n5 gives Det(D).
+    sig = Signature(p, 5 - p)
+    for _ in range(5):
+        prob = _dense_problem(sig, rng, kind)
+        assert _spinor.pays_off(prob.a, prob.b)
+        got, closed = solve(prob), solve(prob, sylvester.CLOSED_N5)
+        assert got.method == sylvester.GENERAL_ODD
+        fields, want = _fields(got), _fields(closed)
+        assert [fields[i] for i in (0, 2, 3)] == [want[i] for i in (0, 2, 3)]
+        assert got.q == -closed.q and type(got.q) is type(closed.q)
 
 
 def _bump_pauli_product(monkeypatch, call):
@@ -453,14 +471,16 @@ def test_selection_keeps_sparse_operands_on_blades(n, rng):
         assert not _spinor.pays_off(a, b)
         as_float = _as_float(a)
         assert not _spinor.pays_off(as_float, as_float)
-    # The rule does not read the ring: dense f64 operands pay off too.
+    # From n = 6 the rule does not read the ring: dense f64 operands pay
+    # off too.  At n = 5 dense exact operands pay off and f64 ones do not.
     dense = random_mv(sig, rng, 1, 3)
     assert _spinor.pays_off(dense, dense)
     as_float = _as_float(dense)
     assert _spinor.pays_off(as_float, as_float)
     small = random_mv(Signature(3, 2), rng, 1, 3)
-    assert not _spinor.pays_off(small, small)
+    assert _spinor.pays_off(small, small)
     assert not _spinor.pays_off(_as_float(small), _as_float(small))
+    assert not _spinor.pays_off(*(random_mv(Signature(2, 2), rng, 1, 3),) * 2)
 
 
 def _as_float(u):
@@ -527,6 +547,42 @@ def test_float_sums_run_left_to_right():
     assert _spinor._total(values) == 0.0
     assert _spinor._dot(3)(values, [1, 1, 1]) == 0.0
     assert _spinor._dot(3)([2, 3, 4], [5, 6, 7]) == 56
+
+
+def _dot_matmul(a, b, s):
+    """The product of two flat s x s matrices as one _dot per entry."""
+    dot = _spinor._dot(s)
+    return [dot(a[i:i + s], b[j::s]) for i in range(0, s * s, s) for j in range(s)]
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 8, 16, 32])
+def test_generated_product_is_the_dot_form(s):
+    # The generated block product adds in _dot's order: the same ints,
+    # and floats to the last bit, also through Gauss's three products.
+    rng = random.Random(s)
+    area = s * s
+    ints = [[rng.randint(-2**70, 2**70) for _ in range(area)] for _ in range(4)]
+    floats = [[rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30) for _ in range(area)]
+              for _ in range(4)]
+
+    def hexed(block):
+        return [t.hex() if isinstance(t, float) else t for t in block]
+
+    for ur, ui, vr, vi in (ints, floats):
+        rr, ii = _dot_matmul(ur, vr, s), _dot_matmul(ui, vi, s)
+        mixed = _dot_matmul(list(map(add, ur, ui)), list(map(add, vr, vi)), s)
+        assert hexed(_spinor._matmul(s)(ur, vr)) == hexed(rr)
+        re, im = _spinor._block_product((ur, ui), (vr, vi), s)
+        assert hexed(re) == hexed([x - y for x, y in zip(rr, ii)])
+        assert hexed(im) == hexed([t - x - y for t, x, y in zip(mixed, rr, ii)])
+    # Exact Gaussian blocks give the schoolbook complex product.
+    ur, ui, vr, vi = ints
+    rr = _dot_matmul(ur, vr, s)
+    _, im = _spinor._block_product((ur, ui), (vr, vi), s)
+    assert im == list(map(add, _dot_matmul(ur, vi, s), _dot_matmul(ui, vr, s)))
+    assert _spinor._block_product((ur, None), (vr, vi), s) == (rr, _dot_matmul(ur, vi, s))
+    assert _spinor._block_product((ur, ui), (vr, None), s) == (rr, _dot_matmul(ui, vr, s))
+    assert _spinor._block_product((ur, None), (vr, None), s) == (rr, None)
 
 
 def test_a_float_matrix_answer_is_pinned():

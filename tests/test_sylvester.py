@@ -76,13 +76,26 @@ class TestSolveBasics:
             assert sol.residual == 0
 
     def test_default_method_per_dimension(self, rng):
+        # Dense exact operands at n = 5 run the odd-n recursion on the
+        # spinor matrices; sparse exact and dense f64 ones keep closed_n5.
         expected = {1: "closed_n1", 2: "closed_n2", 3: "closed_n3",
-                    4: "closed_n4_v2", 5: "closed_n5",
+                    4: "closed_n4_v2", 5: "general_odd",
                     6: "general", 7: "general_odd"}
+        problems = {n: solvable_problem(Signature(n, 0), rng, -2, 2) for n in expected}
         for n, method in expected.items():
-            sig = Signature(n, 0)
-            prob = solvable_problem(sig, rng, -2, 2)
-            assert solve(prob).method == method
+            assert solve(problems[n]).method == method
+        as_float = SylvesterProblem(*(
+            Multivector(u.sig, [float(c) for c in u.coeffs], FLOAT64)
+            for u in (problems[5].a, problems[5].b, problems[5].c)
+        ))
+        assert solve(as_float).method == "closed_n5"
+        sig = Signature(5, 0)
+        sparse = SylvesterProblem(
+            Multivector.from_terms(sig, {0: 3, 1: 1, 6: 2}),
+            Multivector.from_terms(sig, {0: -2, 3: 1, 31: 1}),
+            random_mv(sig, rng, -2, 2),
+        )
+        assert solve(sparse).method == "closed_n5"
 
     def test_solution_satisfies_equation(self, rng):
         for sig in all_signatures(5):
