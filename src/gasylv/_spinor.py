@@ -15,8 +15,13 @@ p = q + 1; other signatures carry imaginary parts.
 Every blade image is a signed monomial matrix, stored as its Pauli
 string: three ints (x, z, k).  Its entry in row r sits in column r ^ x
 and is i**k (-1)**popcount(r & z), so the tables are O(2**n).  A product
-costs O(N**3) here against up to 4**n pair products in the blade loop,
-and a conversion either way O(2**n N).  The tables of a signature are
+costs O(N**3) here against up to 4**n pair products in the blade loop.
+For a column mask x, the entries M[r, r ^ x] are the Walsh-Hadamard
+transform over z of the terms i**k c_A of the blades with that x, and
+the transform is its own inverse up to the factor s, the block size:
+so a conversion either way takes one transform of length s per x and
+block, O(N**2 log N) additions (_hadamard), and gathers its operands
+through tables built with the signature's.  The tables of a signature are
 verified once, when first built, against row-by-row products of explicit
 monomial matrices: the generator relations and every blade image.  So
 an exact answer can be checked by substitution on its images.
@@ -35,7 +40,8 @@ carries the ring of the element it was made from.  Rational entries are
 integers: SpinorMatrix.of refuses an element with a denominator, and
 the preimage leaves its division by N to the algebra's constructor.
 Float entries are floats, summed in one order on every interpreter
-(_total), and the preimage divides by N, a power of two.
+(_total, and the transform's fixed butterflies), and the preimage
+divides by N, a power of two.
 
 In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import add, sub
+from operator import add, itemgetter, neg, sub
 
 from .algebra import FLOAT64, RATIONAL, _build, _value
 from .errors import InternalError
@@ -94,8 +100,8 @@ def _pauli_product(u, v):
 class _Representation:
     """The tables of one signature: per kept block the blade images, and
     per column mask x and sign mask z the flat positions and the row
-    signs of a monomial matrix.  Built once per signature and verified
-    then (_verify)."""
+    signs of a monomial matrix; and the getters of the two conversions.
+    Built once per signature and verified then (_verify)."""
 
     def __init__(self, sig):
         n, m = sig.dim, sig.dim // 2
@@ -144,6 +150,39 @@ class _Representation:
             for z in range(s)
         )
         self._verify(generators, flip)
+        # The conversions, in x-major order: entry x s + r of diagonals'
+        # list is M[r, r ^ x], and scatter puts such a list back in place.
+        area = s * s
+        diagonals = [p for row in self.positions for p in row]
+        order = [0] * area
+        for j, p in enumerate(diagonals):
+            order[p] = j
+        self.diagonals, self.scatter = _getter(diagonals), _getter(order)
+        # Per kept block, for SpinorMatrix.of: per part (real, imaginary),
+        # getters from (coefficients, their negatives, 0) whose sum has
+        # i**k c_A at entry x s + z for each blade A with image (x, z, k)
+        # and k of the part's parity.  At odd n the blades A and A I share
+        # an entry, so a part takes up to two getters; else it takes one.
+        # For multivector: the getters of Re and Im of i**-k t for each
+        # blade from (Re t, Im t, -Re t, -Im t), as Im i**-k t is
+        # Re i**-(k + 1) t.
+        ncoeffs = len(blades)
+        self.spread, self.gather = [], []
+        for table in self.blades:
+            slots = ([[] for _ in range(area)], [[] for _ in range(area)])
+            for a, (x, z, k) in enumerate(table):
+                slots[k & 1][x * s + z].append(a + ncoeffs * (k >> 1))
+            self.spread.append(tuple(
+                tuple(
+                    _getter([row[j] if j < len(row) else 2 * ncoeffs for row in part])
+                    for j in range(max(map(len, part)))
+                )
+                for part in slots
+            ))
+            self.gather.append(tuple(
+                _getter([((k + turn) & 3) * area + x * s + z for x, z, k in table])
+                for turn in (0, 1)
+            ))
 
     def _monomial(self, image):
         """The signed Pauli string (x, z, k) as the explicit monomial
@@ -295,11 +334,53 @@ def _total(values):
     return reduce(add, values, 0)
 
 
+def _getter(indices):
+    """itemgetter(*indices), returning a tuple even for one index."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return itemgetter(*indices)
+
+
 @lru_cache(maxsize=None)
-def _dot(s):
-    """The dot product of two length-s sequences in _total's order, as
-    one expression generated once per s: faster than sum() too."""
-    return eval("lambda u, v: 0" + "".join(f" + u[{k}] * v[{k}]" for k in range(s)))
+def _hadamard(s):
+    """The Walsh-Hadamard transform of each run of s entries of a flat
+    sequence, generated once per s: entry r of a run's transform is
+    sum_z (-1)**popcount(r & z) v_z.  Each of the log2(s) stages takes
+    every pair (v_j, v_(j+h)) with j & h = 0 to (v_j + v_(j+h), v_j -
+    v_(j+h)), so a run costs s log2(s) additions and subtractions, in
+    one fixed order (Fino and Algazi, IEEE Trans. Computers, 1976)."""
+    v = [f"v{j}" for j in range(s)]
+    stages = []
+    h = 1
+    while h < s:
+        terms = (
+            f"{v[j ^ h]} - {v[j]}" if j & h else f"{v[j]} + {v[j | h]}"
+            for j in range(s)
+        )
+        stages.append(f"        {', '.join(v)}, = {', '.join(terms)}\n")
+        h *= 2
+    code = (
+        "def transform(values):\n"
+        "    out = []\n"
+        f"    for {', '.join(v)}, in zip(*[iter(values)] * {s}):\n"
+        + "".join(stages)
+        + f"        out += ({', '.join(v)},)\n"
+        "    return out\n"
+    )
+    namespace = {}
+    exec(code, namespace)
+    return namespace["transform"]
+
+
+def _entrywise_sum(lists):
+    """The entrywise sum of one or two lists."""
+    return list(map(add, *lists)) if len(lists) > 1 else lists[0]
+
+
+def _spread(source, getters):
+    """The sum of what the getters take from source, or None for none."""
+    return _entrywise_sum([get(source) for get in getters]) if getters else None
 
 
 @lru_cache(maxsize=None)
@@ -409,24 +490,21 @@ class SpinorMatrix:
     @classmethod
     def of(cls, u):
         """The image of an f64 Multivector, or of a rational one with
-        integer coefficients, which keeps u as its preimage."""
+        integer coefficients, which keeps u as its preimage.  Entries
+        M[r, r ^ x] are the transform over z of the terms i**k c_A of
+        the blades with image (x, z, k)."""
         if u._den != 1:
             raise InternalError("a rational spinor matrix holds integers only")
         rep = _representation(u.sig)
-        area = rep.size * rep.size
-        terms = [(a, c) for a, c in enumerate(u._num) if c]
+        transform = _hadamard(rep.size)
+        source = (*u._num, *map(neg, u._num), 0)
         blocks = []
-        for table in rep.blades:
-            parts = ([0] * area, [0] * area)
-            for a, c in terms:
-                x, z, k = table[a]
-                if k & 2:
-                    c = -c
-                target = parts[k & 1]
-                for p, sign in zip(rep.positions[x], rep.signs[z]):
-                    target[p] += sign * c
-            re, im = parts
-            blocks.append((re, im if any(im) else None))
+        for real, imag in rep.spread:
+            im = _spread(source, imag)
+            blocks.append((
+                list(rep.scatter(transform(_spread(source, real)))),
+                list(rep.scatter(transform(im))) if im and any(im) else None,
+            ))
         image = cls(rep, u.ring, tuple(blocks))
         image._preimage = u
         return image
@@ -438,42 +516,34 @@ class SpinorMatrix:
 
     def multivector(self):
         """The preimage, computed once.  Coefficient A is
-        Re tr(image(e_A)**-1 M) / N.  The imaginary part is the
+        Re tr(image(e_A)**-1 M) / N: with image (x, z, k), the sum over
+        the kept blocks of Re i**-k t, where t is entry z of the
+        transform over r of M[r, r ^ x].  The imaginary part is the
         coefficient of e_A times the pseudoscalar on one block at odd n,
         and rounding in floats; it must vanish otherwise."""
         if self._preimage is not None:
             return self._preimage
         rep = self.rep
-        blocks = self._dense().blocks
-        gathered = [
-            [
-                (
-                    [re[p] for p in pos],
-                    None if im is None else [im[p] for p in pos],
-                )
-                for pos in rep.positions
-            ]
-            for re, im in blocks
-        ]
+        transform = _hadamard(rep.size)
+        zeros = [0] * (rep.size * rep.size)
         exact = self.ring == RATIONAL
-        dot = _dot(rep.size)
-        coeffs = []
-        for a, (x, z, k) in enumerate(rep.blades[0]):
-            signs = rep.signs[z]
-            total = [0, 0]
-            for table, rows in zip(rep.blades, gathered):
-                flip = table[a][2] != k
-                for part, values in enumerate(rows[x]):
-                    if values is not None:
-                        t = dot(signs, values)
-                        total[part] += -t if flip else t
-            # Multiply by i**-k: i**-1 (u + iv) = v - iu.
-            re, im = total
-            for _ in range(k):
-                re, im = im, -re
-            if exact and im and not rep.onto:
-                raise InternalError("spinor matrix outside the real algebra")
-            coeffs.append(re)
+        check = exact and not rep.onto
+        coeffs, imags = [], []
+        for (re, im), (real, imag) in zip(self._dense().blocks, rep.gather):
+            t_re = transform(rep.diagonals(re))
+            if im is None:
+                t_im = neg_im = zeros
+            else:
+                t_im = transform(rep.diagonals(im))
+                neg_im = [-t for t in t_im]
+            # Entry k s**2 + j is Re i**-k t_j: Re t, Im t, -Re t, -Im t.
+            turns = t_re + t_im + [-t for t in t_re] + neg_im
+            coeffs.append(real(turns))
+            if check:
+                imags.append(imag(turns))
+        if check and any(_entrywise_sum(imags)):
+            raise InternalError("spinor matrix outside the real algebra")
+        coeffs = _entrywise_sum(coeffs)
         if exact:
             self._preimage = _build(rep.sig, RATIONAL, coeffs, rep.degree)
         else:

@@ -28,6 +28,7 @@ the default skips them where the matrices pay off.  In the rational
 ring both kernels give the same D, F, M and Q, and an answer is checked
 on the kernel that computed it: AM - MB - QC = 0 on the numerator
 M = Adj(D)F is Q times AX - XB - C, and X = M / Q is the one division.
+D and F go back to blades when the solution's fields are first read.
 In f64 the kernels differ by rounding, and the residual check judges
 either answer on the blades, where the flag is defined.
 
@@ -40,7 +41,7 @@ NumericalDegradationError, under every method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from math import isfinite, lcm
 from operator import add, mul
 from typing import NamedTuple
@@ -106,12 +107,34 @@ class SylvesterProblem:
         return self.a.ring
 
 
+class _OnFirstRead:
+    """A Multivector field of SylvesterSolution that may be given as a
+    partial, called on the first read of the field and then kept.  A
+    solve on the spinor matrices passes D and F so: their conversion
+    back to blades is paid only where they are read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            # The field has no default (dataclass reads it on the class).
+            raise AttributeError(self.name)
+        value = sol.__dict__[self.name]
+        if isinstance(value, partial):
+            value = sol.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, sol, value):
+        sol.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SylvesterSolution:
     x: Multivector
     q: object
-    d: Multivector
-    f: Multivector
+    d: Multivector = _OnFirstRead()
+    f: Multivector = _OnFirstRead()
     method: str
     residual: object
     low_confidence: bool = False
@@ -397,16 +420,19 @@ def _solve(prob, method):
     if d.ring == FLOAT64 and not isfinite(q):
         raise NumericalDegradationError("Q overflows")
     d_scale = scale ** len(coeffs)
-    d_out, f_out = _blades(d, d_scale), _blades(f, d_scale)
     q_out = _value(q, d_scale ** prob.sig.charpoly_degree)
-    if is_zero_scalar(q_out, d_out):
-        raise SingularProblemError(q_out, d_out)
+    # The zero test reads D only in f64, where d_scale is 1.
+    if is_zero_scalar(q_out, d):
+        raise SingularProblemError(q_out, _blades(d, d_scale))
     m = adj * f
     if prob.ring == RATIONAL:
         x, residual, low_confidence = _exact_x(a, b, c, m, q, method), 0, False
     else:
         x, residual, low_confidence = _float_x(prob, _blades(m), q)
-    return SylvesterSolution(x, q_out, d_out, f_out, method, residual, low_confidence)
+    return SylvesterSolution(
+        x, q_out, partial(_blades, d, d_scale), partial(_blades, f, d_scale),
+        method, residual, low_confidence,
+    )
 
 
 def solve(prob, method=None):

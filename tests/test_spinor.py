@@ -2,9 +2,11 @@
 signature, the same D, F and Q as the blade kernel, the exact check of
 its answers on the images, and the rule that chooses between the two."""
 
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 import pytest
@@ -23,11 +25,13 @@ from gasylv import (
     build_F_general,
     center_project,
     char_poly,
+    format_multivector,
     solve,
     verify_residual,
 )
 from gasylv import _spinor, sylvester
 from gasylv._spinor import SpinorMatrix
+from gasylv.cli import main
 from conftest import (
     all_signatures,
     assert_char_poly_answers,
@@ -114,6 +118,32 @@ def _dense_problem(sig, rng, kind):
     ))
 
 
+def _answer_text(prob):
+    """The default solve's method, Q, X, D and F, or its refusal, as text."""
+    try:
+        sol = solve(prob)
+    except SingularProblemError as exc:
+        return f"singular {exc.q} {exc.d.coeffs}"
+    return f"{sol.method} {sol.q} {sol.x.coeffs} {sol.d.coeffs} {sol.f.coeffs}"
+
+
+def test_dense_exact_answers_are_pinned_by_digest():
+    # One sha256 over the default exact answers of dense int and k/d
+    # problems in every signature at n = 5..8 and in Cl(5,4): all run on
+    # the spinor matrices, so a change to the kernel that moves any bit
+    # of X, Q, D or F shows here.
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for sig in all_signatures(8, 5) + [Signature(5, 4)]:
+        for kind in ("int", "frac"):
+            prob = _dense_problem(sig, rng, kind)
+            assert _spinor.pays_off(prob.a, prob.b)
+            digest.update(_answer_text(prob).encode())
+    assert digest.hexdigest() == (
+        "e86b95e8baf3683b950dc924ff356d8fc2d4b88bd8ebbd488d4563a1e6871725"
+    )
+
+
 def _fields(sol):
     return [
         (value, [type(c) for c in getattr(value, "coeffs", [value])])
@@ -139,6 +169,51 @@ def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
     blade = [solve(prob, method) for method in methods]
     for got, want in zip(matrix, blade):
         assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_solutions_read_alike_on_both_kernels(kind, rng, monkeypatch, capsys):
+    # D and F of a solve on the matrices are converted back when first
+    # read; the solution has the same fields, ==, repr and CLI output as
+    # one computed on blades, and a singular problem the same refusal.
+    sig = Signature(3, 3)
+    prob = _dense_problem(sig, rng, kind)
+    singular = SylvesterProblem(prob.a, prob.a, prob.c)
+    argv = ["solve", "--signature", "3,3"] + [
+        arg for name, u in zip("abc", (prob.a, prob.b, prob.c))
+        for arg in (f"--{name}", format_multivector(u))
+    ]
+
+    def answers():
+        sol = solve(prob)
+        with pytest.raises(SingularProblemError) as refusal:
+            solve(singular)
+        printed = []
+        for fmt in ("text", "json"):
+            assert main(argv + ["--format", fmt]) == 0
+            printed.append(capsys.readouterr().out)
+        return sol, refusal.value, printed
+
+    assert _spinor.pays_off(prob.a, prob.b)
+    built, build = [], _spinor._build
+    monkeypatch.setattr(_spinor, "_build", lambda *args: built.append(1) or build(*args))
+    sol = solve(prob)
+    assert len(built) == 1  # the numerator M, for X
+    assert sol.d is sol.d and sol.f.sig == sig
+    assert len(built) == 3
+    matrix, refused, printed = answers()
+    assert [f.name for f in dataclasses.fields(matrix)] == [
+        "x", "q", "d", "f", "method", "residual", "low_confidence",
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matrix.d = matrix.x
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    blade, blade_refused, blade_printed = answers()
+    assert matrix == blade and repr(matrix) == repr(blade)
+    assert hash(matrix) == hash(blade) and _fields(matrix) == _fields(blade)
+    assert (refused.q, refused.d) == (blade_refused.q, blade_refused.d)
+    assert refused.q == 0 and isinstance(refused.d, Multivector)
+    assert printed == blade_printed
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -539,19 +614,120 @@ def test_float_matrix_path_agrees_with_the_blades(sig, rng, monkeypatch):
         ) <= 1e-9 * size
 
 
+@lru_cache(maxsize=None)
+def _dot(s):
+    """The dot product of two length-s sequences, left to right from 0,
+    as one generated expression: the reference for the order of the
+    block product, and for the per-blade conversions below."""
+    return eval("lambda u, v: 0" + "".join(f" + u[{k}] * v[{k}]" for k in range(s)))
+
+
 def test_float_sums_run_left_to_right():
     # sum() compensates float sums from CPython 3.12 on and would give
     # 1.0 here; the matrices add left to right from 0 on every
-    # interpreter.
+    # interpreter, and the conversions in the transform's fixed order.
     values = [1e16, 1.0, -1e16]
     assert _spinor._total(values) == 0.0
-    assert _spinor._dot(3)(values, [1, 1, 1]) == 0.0
-    assert _spinor._dot(3)([2, 3, 4], [5, 6, 7]) == 56
+    assert _dot(3)(values, [1, 1, 1]) == 0.0
+    assert _dot(3)([2, 3, 4], [5, 6, 7]) == 56
+    assert _spinor._hadamard(4)(values + [0.0]) == [0.0, 0.0, 2e16, 2e16]
+    assert _spinor._hadamard(4)([1, 2, 3, 4, 0, 0, 0, 1]) == [10, -2, -4, 0, 1, -1, -1, 1]
+
+
+def _reference_blocks(u):
+    """SpinorMatrix.of, blade by blade: each term scattered over the s
+    entries of its monomial matrix, an imaginary part None where it is
+    zero."""
+    rep = _spinor._representation(u.sig)
+    area = rep.size * rep.size
+    blocks = []
+    for table in rep.blades:
+        parts = ([0] * area, [0] * area)
+        for a, c in enumerate(u._num):
+            if c:
+                x, z, k = table[a]
+                target = parts[k & 1]
+                for p, sign in zip(rep.positions[x], rep.signs[z]):
+                    target[p] += sign * (-c if k & 2 else c)
+        re, im = parts
+        blocks.append((re, im if any(im) else None))
+    return tuple(blocks)
+
+
+def _reference_sums(m):
+    """N times the preimage of m, blade by blade: (Re, Im) of the sums
+    over the kept blocks of tr(image(e_A)**-1 M), one _dot each."""
+    rep = m.rep
+    dot = _dot(rep.size)
+    sums = []
+    for a, (x, z, k) in enumerate(rep.blades[0]):
+        total = [0, 0]
+        for table, block in zip(rep.blades, m._dense().blocks):
+            for part, values in enumerate(block):
+                if values is not None:
+                    t = dot(rep.signs[z], [values[p] for p in rep.positions[x]])
+                    total[part] += -t if table[a][2] != k else t
+        re, im = total
+        for _ in range(k):  # i**-1 (u + iv) = v - iu
+            re, im = im, -re
+        sums.append((re, im))
+    return sums
+
+
+@pytest.mark.parametrize("sig", all_signatures(10), ids=repr)
+def test_conversions_are_the_per_blade_forms(sig):
+    # Both transforms give the per-blade blocks and preimages exactly:
+    # dense, sparse and real-only elements, their products, central
+    # matrices, and the integer-valued floats of the round trip.
+    rng = random.Random(sig.dim * 17 + sig.p)
+    dense = random_mv(sig, rng, -10**20, 10**20)
+    elements = [
+        dense,
+        random_sparse_mv(sig, rng, 3),
+        Multivector.from_terms(sig, {0: 3, sig.ncoeffs - 1: -2}),
+        _as_float(random_mv(sig, rng, -10**6, 10**6)),
+    ]
+    matrices = []
+    for u in elements:
+        m = SpinorMatrix.of(u)
+        # Equal blocks: an imaginary part is None exactly where it was.
+        assert m.blocks == _reference_blocks(u)
+        matrices += [m._like(m.blocks), m * m]
+    matrices += [SpinorMatrix.scalar(sig, 3), center_project(matrices[0])]
+    rep = _spinor._representation(sig)
+    for m in matrices:
+        sums = _reference_sums(m)
+        exact = m.ring == RATIONAL
+        if exact and not rep.onto and any(im for _, im in sums):
+            with pytest.raises(InternalError):
+                m.multivector()
+            continue
+        got = m.multivector()
+        want = [re / rep.degree for re, _ in sums] if not exact else [
+            Fraction(re, rep.degree) for re, _ in sums
+        ]
+        assert list(got.coeffs) == want
+        if not exact:
+            assert [c.hex() for c in got.coeffs] == [c.hex() for c in want]
+    # A matrix outside the images: one more entry in the imaginary part.
+    (re, im), *rest = matrices[0].blocks
+    bumped = list(im or [0] * len(re))
+    bumped[0] += 1
+    m = matrices[0]._like(((re, bumped), *rest))
+    sums = _reference_sums(m)
+    if not rep.onto:
+        assert any(im for _, im in sums)
+        with pytest.raises(InternalError, match="outside the real algebra"):
+            m.multivector()
+    else:
+        assert m.multivector().coeffs == tuple(
+            Fraction(re, rep.degree) for re, _ in sums
+        )
 
 
 def _dot_matmul(a, b, s):
     """The product of two flat s x s matrices as one _dot per entry."""
-    dot = _spinor._dot(s)
+    dot = _dot(s)
     return [dot(a[i:i + s], b[j::s]) for i in range(0, s * s, s) for j in range(s)]
 
 
@@ -602,9 +778,9 @@ def test_a_float_matrix_answer_is_pinned():
     assert _spinor.pays_off(prob.a, prob.b)
     sol = solve(prob)
     assert sol.method == sylvester.GENERAL and not sol.low_confidence
-    assert sol.q.hex() == "-0x1.ffbc13aa98b7cp+127"
+    assert sol.q.hex() == "-0x1.ffbc13aa98bbcp+127"
     assert [sol.x.coeffs[k].hex() for k in (0, 21, 63)] == [
-        "0x1.ffc27598426b0p-3", "0x1.887eef01eeaf8p-11", "0x1.55070376aec7cp-10",
+        "0x1.ffc27598426b0p-3", "0x1.887eef01eef8cp-11", "0x1.55070376ae540p-10",
     ]
 
 
