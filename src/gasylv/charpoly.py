@@ -70,7 +70,7 @@ class CharPolyData:
 
     def adjugate(self):
         b = self.iterates[0]
-        return Multivector.scalar(b.sig, self.coeffs[-2], b.ring) - self.iterates[-2]
+        return type(b).scalar(b.sig, self.coeffs[-2], b.ring) - self.iterates[-2]
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,8 @@ class SingularElementError(GasylvError):
 
 
 class SingularProblemError(GasylvError):
-    """The Sylvester problem's denominator Q failed the zero test.
-
-    Carries Q and the assembled element D for diagnostics.
-    """
+    """The Sylvester problem's denominator Q = Det(D) failed the zero
+    test.  Carries Q and the assembled element D for diagnostics."""
 
     def __init__(self, q, d):
         super().__init__(f"singular Sylvester problem: Q = {q}")

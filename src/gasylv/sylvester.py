@@ -131,6 +131,9 @@ class _OnFirstRead:
 
 @dataclass(frozen=True)
 class SylvesterSolution:
+    """X with D X = F, from M = Adj(D) F and Q = Det(D) as X = M / Q,
+    under every method; d and f may be converted on first read."""
+
     x: Multivector
     q: object
     d: Multivector = _OnFirstRead()
@@ -228,22 +231,20 @@ class _Phi(NamedTuple):
 
 
 def _adjugate(phi, method):
-    """(Adj, Q) with D Adj = Q e.  The closed forms take the closed
-    adjugate of their dimension, at n = 4 that of their variant.  The
-    recursions take -Adj(D) and -Det(D), differences[-1] and b_N of the
-    char poly of D.  On exact spinor matrices, which hold dense
-    operands, they come through the resultant of A's and B's char polys
-    (_resultant_adjugate).  In f64, where a remainder sequence is
-    unstable, and on blades, where sparse operands keep D's own
-    recursion cheaper than the degree-N remainder sequence, they come
-    from the char poly of D."""
+    """(Adj(D), Det(D)) under every method.  The closed forms take the
+    closed adjugate of their dimension, at n = 4 that of their variant.
+    The recursions on exact spinor matrices, which hold dense operands,
+    take the resultant of A's and B's char polys (_resultant_adjugate).
+    In f64, where a remainder sequence is unstable, and on blades, where
+    sparse operands keep D's own recursion cheaper than the degree-N
+    remainder sequence, they take the char poly of D."""
     d = phi.d
     if method not in _RECURSIONS:
         adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
         return adj, _as_scalar(d * adj, d)
     if d.ring == FLOAT64 or isinstance(d, Multivector):
         inv = char_poly(d)
-        return inv.differences[-1], inv.coeffs[-1]
+        return inv.adjugate(), inv.determinant()
     return _resultant_adjugate(phi, method)
 
 
@@ -256,7 +257,7 @@ def _sum_at_a(pw, columns):
 
 
 def _resultant_adjugate(phi, method):
-    """(-Adj(D), -Det(D)) for D = phi_B(A) on exact spinor matrices, with
+    """(Adj(D), Det(D)) for D = phi_B(A) on exact spinor matrices, with
     no recursion on D.  D is a polynomial in A, so Det(D) = Res(phi_A,
     phi_B) for the characteristic polynomial phi_A of A, and Adj(D) =
     t(A) for the t with t phi_B = Det(D) modulo phi_A (Jameson, SIAM J.
@@ -297,10 +298,10 @@ def _resultant_adjugate(phi, method):
     det = reduce(mul, dets)
     others = [det // d for d in dets]
     adj = _sum_at_a(pw, [
-        tuple(-other * t[k] for other, t in zip(others, cofactors))
+        tuple(other * t[k] for other, t in zip(others, cofactors))
         for k in range(size)
     ])
-    return adj, -det.real
+    return adj, det.real
 
 
 def solve_general(prob):
@@ -441,7 +442,7 @@ def solve(prob, method=None):
     tilde/sharp variant), the odd-n recursion for odd n >= 7, the
     general recursion otherwise.  Where the recursions run on the spinor
     matrices (_spinor.pays_off: dense exact operands at n = 5), the
-    default skips the closed forms; its Q is then -Det(D), not Det(D).
+    default skips the closed forms.
     """
     if method is None:
         methods = _methods_for(prob.sig.dim)

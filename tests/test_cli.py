@@ -84,29 +84,34 @@ class TestSolve:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_dense_n5_default_is_the_recursion(self, capsys, fmt):
         # Dense exact operands at n = 5 run general_odd on the spinor
-        # matrices by default, and Q is the recursion's -Det(D), the
-        # negative of the fixture's closed_n5 Q.  Sparse literals keep
-        # closed_n5.
+        # matrices by default.  It prints the Q, D, F and X of closed_n5,
+        # the fixture's Q = Det(D): only the method differs.  Sparse
+        # literals keep closed_n5.
         ex = load_example("example2")
         sig = ex["sig"]
         assert sig.dim == 5
-        code, out, _ = run(
-            capsys, "solve",
+        argv = [
+            "solve",
             "--signature", f"{sig.p},{sig.q}",
             "--a", format_multivector(ex["a"]),
             "--b", format_multivector(ex["b"]),
             "--c", format_multivector(ex["c"]),
             "--format", fmt,
-        )
-        assert code == 0
-        want_q = -Fraction(ex["q"])
-        if fmt == "json":
-            payload = json.loads(out)
-            assert payload["method"] == "general_odd"
-            assert Fraction(payload["Q"]) == want_q
-        else:
-            assert "method: general_odd" in out.splitlines()
-            assert f"Q = {want_q}" in out.splitlines()
+        ]
+        printed = {}
+        for method, chosen in (("general_odd", []), ("closed_n5", ["--method", "closed_n5"])):
+            code, out, _ = run(capsys, *argv, *chosen)
+            assert code == 0
+            if fmt == "json":
+                payload = json.loads(out)
+                assert payload.pop("method") == method
+                assert Fraction(payload["Q"]) == Fraction(ex["q"])
+            else:
+                payload = out.splitlines()
+                payload.remove(f"method: {method}")
+                assert f"Q = {ex['q']}" in payload
+            printed[method] = payload
+        assert printed["general_odd"] == printed["closed_n5"]
         code, out, _ = run(
             capsys, "solve", "--signature", "3,2",
             "--a", "2 + e1 - e24", "--b", "-1 + e12 + 3e345", "--c", "e5",

@@ -24,7 +24,7 @@ from gasylv import (
     build_D_general,
     build_F_general,
     center_project,
-    char_poly,
+    determinant,
     format_multivector,
     solve,
     verify_residual,
@@ -140,7 +140,7 @@ def test_dense_exact_answers_are_pinned_by_digest():
             assert _spinor.pays_off(prob.a, prob.b)
             digest.update(_answer_text(prob).encode())
     assert digest.hexdigest() == (
-        "e86b95e8baf3683b950dc924ff356d8fc2d4b88bd8ebbd488d4563a1e6871725"
+        "2180ea4837fd9f012fe477abee4741ab7005e1c90be3e80a60d0c4ab143a2ccd"
     )
 
 
@@ -164,7 +164,7 @@ def test_matrix_path_gives_the_blade_answers(sig, kind, rng, monkeypatch):
         d = build_D_general(prob.a, prob.b)
         assert matrix[0].d == d
         assert matrix[0].f == build_F_general(prob.a, prob.b, prob.c)
-        assert matrix[0].q == char_poly(d).coeffs[-1]
+        assert matrix[0].q == determinant(d)
     monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
     blade = [solve(prob, method) for method in methods]
     for got, want in zip(matrix, blade):
@@ -251,17 +251,15 @@ def test_the_kernel_rule_keeps_closed_forms_on_blades(n, kind, rng, monkeypatch)
 @pytest.mark.parametrize("p", range(6))
 @pytest.mark.parametrize("kind", ["int", "frac"])
 def test_dense_exact_n5_defaults_to_the_matrices(p, kind, rng):
-    # The default takes general_odd on the spinor matrices: the X, D and
-    # F of closed_n5, and Q = -Det(D) where closed_n5 gives Det(D).
+    # The default takes general_odd on the spinor matrices, with the Q,
+    # X, D and F of closed_n5: both give Q = Det(D).
     sig = Signature(p, 5 - p)
     for _ in range(5):
         prob = _dense_problem(sig, rng, kind)
         assert _spinor.pays_off(prob.a, prob.b)
         got, closed = solve(prob), solve(prob, sylvester.CLOSED_N5)
         assert got.method == sylvester.GENERAL_ODD
-        fields, want = _fields(got), _fields(closed)
-        assert [fields[i] for i in (0, 2, 3)] == [want[i] for i in (0, 2, 3)]
-        assert got.q == -closed.q and type(got.q) is type(closed.q)
+        assert _fields(got)[:4] == _fields(closed)[:4]
 
 
 def _bump_pauli_product(monkeypatch, call):
@@ -778,7 +776,7 @@ def test_a_float_matrix_answer_is_pinned():
     assert _spinor.pays_off(prob.a, prob.b)
     sol = solve(prob)
     assert sol.method == sylvester.GENERAL and not sol.low_confidence
-    assert sol.q.hex() == "-0x1.ffbc13aa98bbcp+127"
+    assert sol.q.hex() == "0x1.ffbc13aa98bbcp+127"
     assert [sol.x.coeffs[k].hex() for k in (0, 21, 63)] == [
         "0x1.ffc27598426b0p-3", "0x1.887eef01eef8cp-11", "0x1.55070376ae540p-10",
     ]

@@ -36,7 +36,12 @@ from gasylv import (
 )
 from gasylv import _spinor, sylvester
 from gasylv.sylvester import _methods_for
-from conftest import all_signatures, assert_char_poly_answers, random_mv
+from conftest import (
+    all_signatures,
+    assert_char_poly_answers,
+    random_mv,
+    random_sparse_mv,
+)
 from oracles import brute_force_sylvester
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +169,45 @@ class TestMethodAgreement:
                 assert xs, sig
                 first = next(iter(xs.values()))
                 assert all(x == first for x in xs.values()), sig
+
+    @pytest.mark.parametrize("ring", [RATIONAL, FLOAT64])
+    def test_q_is_the_determinant_of_d_under_every_method(self, rng, ring):
+        # Every method returns Q = Det(D) for the D it builds; a singular
+        # verdict carries Q = Det(D) = 0.  Every method but general at odd
+        # n, which builds the degree-N phi_B(A), builds the same D, and
+        # those give the same Q, D, F and X.  Exact to n = 7 on dense and
+        # sparse operands, both kernels; f64 to n = 5 up to rounding.
+        for sig in all_signatures(7 if ring == RATIONAL else 5):
+            n = sig.dim
+            for dense in (True, False):
+                prob = SylvesterProblem(*(
+                    Multivector(sig, (
+                        random_mv(sig, rng, -3, 3) if dense
+                        else random_sparse_mv(sig, rng, 3, -3, 3)
+                    ).coeffs, ring)
+                    for _ in range(3)
+                ))
+                shared = []
+                for method in _methods_for(n):
+                    try:
+                        sol = solve(prob, method)
+                    except SingularProblemError as exc:
+                        if ring == RATIONAL:
+                            assert exc.q == 0 == determinant(exc.d), (sig, method)
+                        continue
+                    det = determinant(sol.d)
+                    if ring == RATIONAL:
+                        assert sol.q == det, (sig, method)
+                    else:
+                        assert math.copysign(1, sol.q) == math.copysign(1, det)
+                        assert abs(sol.q - det) <= 1e-6 * abs(det), (sig, method)
+                    if sol.method != sylvester.GENERAL or n % 2 == 0:
+                        shared.append(sol)
+                if ring == RATIONAL:
+                    for sol in shared[1:]:
+                        assert (sol.q, sol.d, sol.f, sol.x) == (
+                            shared[0].q, shared[0].d, shared[0].f, shared[0].x
+                        ), (sig, sol.method, shared[0].method)
 
     def test_brute_force_agreement(self, rng):
         for sig in all_signatures(3):
