@@ -37,11 +37,11 @@ int, float or Fraction where the value is real and a _Gaussian only
 where its imaginary part is nonzero.  block_values() reads these values
 off any matrix and central() builds a matrix from them.  A matrix
 carries the ring of the element it was made from.  Rational entries are
-integers: SpinorMatrix.of refuses an element with a denominator, and
-the preimage leaves its division by N to the algebra's constructor.
-Float entries are floats, summed in one order on every interpreter
-(_total, and the transform's fixed butterflies), and the preimage
-divides by N, a power of two.
+integers: SpinorMatrix.of refuses an element with a denominator (enter
+scales one first), and the preimage of an image divides by N, a power
+of two that divides every sum, by a shift.  Float entries are floats,
+summed in one order on every interpreter (_total, and the transform's
+fixed butterflies), and the preimage divides by N.
 
 In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
@@ -55,9 +55,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 from operator import add, itemgetter, neg, sub
 
-from .algebra import FLOAT64, RATIONAL, _build, _value
+from .algebra import FLOAT64, RATIONAL, _build, _require_finite, _times, _value
 from .errors import InternalError
 
 # The matrices pay off from this n in each ring, and once nnz(A) nnz(B)
@@ -86,6 +87,23 @@ def pays_off(a, b):
     nnz_a = len(a._num) - a._num.count(0)
     nnz_b = len(b._num) - b._num.count(0)
     return nnz_a * nnz_b >= MIN_PAIRS
+
+
+def enter(elements, matrices=True):
+    """The one way of a recursion into the integers and the matrices:
+    (elements times the lcm s of their denominators, s), as matrices
+    where matrices is set and pays_off holds for the first two (for one
+    element, for it twice).  A value of degree k in them is s**k times
+    that of the elements given."""
+    _require_finite(*elements)
+    for u in elements[1:]:
+        elements[0]._check_compat(u)
+    scale = lcm(*(u._den for u in elements))
+    if scale != 1:
+        elements = [_times(u, scale) for u in elements]
+    if matrices and pays_off(*(elements * 2)[:2]):
+        elements = [SpinorMatrix.of(u) for u in elements]
+    return elements, scale
 
 
 def _pauli_product(u, v):
@@ -544,7 +562,11 @@ class SpinorMatrix:
         if check and any(_entrywise_sum(imags)):
             raise InternalError("spinor matrix outside the real algebra")
         coeffs = _entrywise_sum(coeffs)
-        if exact:
+        if exact and not any(c & (rep.degree - 1) for c in coeffs):
+            # An image: N, a power of two, divides every sum.
+            shift = rep.degree.bit_length() - 1
+            self._preimage = _build(rep.sig, RATIONAL, [c >> shift for c in coeffs])
+        elif exact:
             self._preimage = _build(rep.sig, RATIONAL, coeffs, rep.degree)
         else:
             self._preimage = _build(rep.sig, FLOAT64, [c / rep.degree for c in coeffs])

@@ -6,9 +6,9 @@ blade.  Two scalar rings are supported: exact rationals, never silently
 degraded, and binary64 floats.  A rational element is int numerators
 over one positive denominator in lowest terms, so products and sums run
 on ints with one gcd per result; a float element is its floats over 1.
-Only the public constructors coerce values; kernel results go through
-_build.  Denominators are this module's alone, but for sylvester._solve,
-which scales a rational problem to integers once, on either kernel.
+Only the public constructors and scale coerce values; kernel results
+go through _build and _times.  Denominators are this module's alone,
+but for _spinor.enter, which scales every recursion to integers.
 
 The geometric product is one loop over the nonzero coefficient pairs,
 with a sign mask per blade row, at every n.  Dense operands, with
@@ -114,6 +114,11 @@ def _sign_masks(n, p):
 # f64 stops at n = 5.  The n = 4 kernel speeds f64 solves up too, but
 # perfbench/run.py keeps one record per op, so its peak RSS grows with
 # ops/s past that metric's bound; enabling it is one entry, 4, below.
+# Dense exact n = 5 solves and public recursions run on the spinor
+# matrices, but the rational 5 serves an explicit closed_n5,
+# closed_form_det and the dense intermediate products of sparse
+# closed_n5 solves: without it, closed_n5 on dense Cl(3,2) problems
+# took 1.7 -> 3.6 ms with ints and 2.6 -> 4.9 ms with k/d (median of 5).
 _STRAIGHT_LINE_DIMS = {RATIONAL: (4, 5), FLOAT64: (5,)}
 
 
@@ -308,11 +313,7 @@ class Multivector:
         return _build(self.sig, self.ring, [-c for c in self._num], self._den)
 
     def scale(self, value):
-        value = _coerce(value, self.ring)
-        num, den = (value, 1) if self.ring == FLOAT64 else value.as_integer_ratio()
-        return _build(
-            self.sig, self.ring, [num * c for c in self._num], den * self._den
-        )
+        return _times(self, _coerce(value, self.ring))
 
     def __truediv__(self, value):
         if isinstance(value, Multivector):
@@ -436,6 +437,16 @@ def _over_lcm(sig, ring, coeffs, values):
     if den != 1:
         coeffs = [c and c.numerator * (den // c.denominator) for c in coeffs]
     return _build(sig, ring, coeffs, den)
+
+
+def _times(u, value):
+    """u times a value of its ring, an int or Fraction or a float, with
+    no coercion: a product per numerator unless value is 1/k, and one
+    gcd in _build."""
+    num, den = (value, 1) if u.ring == FLOAT64 else value.as_integer_ratio()
+    return _build(
+        u.sig, u.ring, u._num if num == 1 else [num * c for c in u._num], den * u._den
+    )
 
 
 def _build(sig, ring, num, den=1):

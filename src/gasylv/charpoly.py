@@ -7,11 +7,13 @@ run with two projections P: L = N = 2**ceil(n/2) steps of the scalar
 part give the characteristic polynomial (c_(k) = b_(k)), and for odd n
 L = N/2 steps of the center projection give the generalized central
 coefficients that halve the recursion.  The loop needs only products,
-sums and the projection, so a rational element runs it on the integer
-numerators of Multivector, and it runs unchanged on the spinor matrices
-of _spinor.  Closed-form determinant expressions for n <= 5 serve as
-cross-check oracles; the closed adjugates they multiply are also those
-of the closed-form solvers.
+sums and the projection, so it runs unchanged on either kernel.  The
+public functions take b where a solve would (_spinor.enter): times the
+lcm s of its denominators, on the spinor matrices where pays_off(b, b)
+holds.  A value of degree k is then divided by s**k once, and iterates
+and differences go back to blades when first read.  Closed-form
+determinant expressions for n <= 5 serve as cross-check oracles; the
+closed adjugates they multiply are also those of the closed-form solvers.
 
 The exact solvers on spinor matrices invert D = phi_B(A) with none of
 this: Newton's identities give a characteristic polynomial from the
@@ -27,11 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
+from . import _spinor
 from .algebra import (
     RATIONAL,
     Multivector,
     _require_finite,
+    _times,
+    _value,
     center_project,
     natural,
     sharp,
@@ -45,6 +51,28 @@ from .errors import (
 ZERO_TOL = 1e-9
 
 
+class _OnFirstRead:
+    """A field of a frozen dataclass that may be given as a partial,
+    called on the first read of the field and then kept.  Solves and
+    public recursions pass values so: their conversion back to blades,
+    or division, is paid only where they are read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # The field has no default (dataclass reads it on the class).
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if isinstance(value, partial):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CharPolyData:
     """Iterates B_(1)..B_(N), scalar coefficients b_(1)..b_(N) and the
@@ -55,9 +83,9 @@ class CharPolyData:
     """
 
     sig: object
-    iterates: tuple
+    iterates: tuple = _OnFirstRead()
     coeffs: tuple
-    differences: tuple
+    differences: tuple = _OnFirstRead()
 
     @property
     def degree(self):
@@ -80,9 +108,9 @@ class GeneralizedCoeffs:
     differences B'_(k) - b'_(k), k < N/2."""
 
     sig: object
-    iterates: tuple
+    iterates: tuple = _OnFirstRead()
     coeffs: tuple
-    differences: tuple
+    differences: tuple = _OnFirstRead()
 
 
 def _faddeev_leverrier(b, length, project):
@@ -110,14 +138,8 @@ def _central_coeff(u, ratio):
     return center_project(u).scale(ratio)
 
 
-def char_poly(b):
-    """Run the full N-step recursion on b.
-
-    For exact scalars the final iterate is checked to be a pure scalar
-    (a consequence of Cayley-Hamilton); for floats a residue that fails
-    the zero test raises NumericalDegradationError.
-    """
-    _require_finite(b)
+def _char_poly(b):
+    """char_poly on b's own kernel, with that kernel's values."""
     iterates, coeffs, differences = _faddeev_leverrier(
         b, b.sig.charpoly_degree, _scalar_coeff
     )
@@ -132,13 +154,56 @@ def char_poly(b):
     return CharPolyData(b.sig, iterates, coeffs, differences)
 
 
+def _generalized(b):
+    """The N/2 steps of the central recursion on b, on b's kernel."""
+    return GeneralizedCoeffs(
+        b.sig, *_faddeev_leverrier(b, b.sig.charpoly_degree // 2, _central_coeff)
+    )
+
+
+def _blades(u, den=1):
+    """A value computed on either kernel over den, in one exact division:
+    an element as a Multivector, a scalar as a number."""
+    if isinstance(u, _spinor.SpinorMatrix):
+        u = u.multivector()
+    elif not isinstance(u, Multivector):
+        return _value(u, den)
+    return u if den == 1 else _times(u, Fraction(1) / den)
+
+
+def _public(data, s):
+    """The data of a recursion on s b as that of b: the k-th value over
+    s**k, the iterates and differences converted on first read."""
+
+    def back(values):
+        return tuple(_blades(u, s ** k) for k, u in enumerate(values, start=1))
+
+    return type(data)(
+        data.sig, partial(back, data.iterates), back(data.coeffs),
+        partial(back, data.differences),
+    )
+
+
+def char_poly(b):
+    """Run the full N-step recursion on b, where _spinor.enter puts it.
+
+    For exact scalars the final iterate is checked to be a pure scalar
+    (a consequence of Cayley-Hamilton); for floats a residue that fails
+    the zero test raises NumericalDegradationError.
+    """
+    (m,), s = _spinor.enter([b])
+    return _public(_char_poly(m), s)
+
+
 def determinant(b):
-    return char_poly(b).determinant()
+    (m,), s = _spinor.enter([b])
+    return _blades(_char_poly(m).determinant(), s ** b.sig.charpoly_degree)
 
 
 def adjugate(b):
     """Adj(B) = b_(N-1) - B_(N-1); satisfies B Adj(B) = Det(B) e."""
-    return char_poly(b).adjugate()
+    (m,), s = _spinor.enter([b])
+    return _blades(_char_poly(m).adjugate(), s ** (b.sig.charpoly_degree - 1))
 
 
 def is_zero_scalar(value, b):
@@ -159,11 +224,12 @@ def is_zero_scalar(value, b):
 
 
 def inverse(b):
-    data = char_poly(b)
-    det = data.determinant()
+    (m,), s = _spinor.enter([b])
+    data = _char_poly(m)
+    det = _blades(data.determinant(), s ** b.sig.charpoly_degree)
     if is_zero_scalar(det, b):
         raise SingularElementError(f"element has determinant {det}")
-    return data.adjugate() / det
+    return _blades(data.adjugate(), s ** (b.sig.charpoly_degree - 1) * det)
 
 
 def generalized_coeffs(b):
@@ -173,13 +239,10 @@ def generalized_coeffs(b):
     of the scalar projection; the k-th coefficient is
     ((N/2)/k) <B'_(k)>_cen, a multivector in Cl^0 + Cl^n.
     """
-    sig = b.sig
-    if sig.dim % 2 == 0:
+    if b.sig.dim % 2 == 0:
         raise ValueError("generalized coefficients are defined for odd n")
-    return GeneralizedCoeffs(
-        sig,
-        *_faddeev_leverrier(b, sig.charpoly_degree // 2, _central_coeff),
-    )
+    (m,), s = _spinor.enter([b])
+    return _public(_generalized(m), s)
 
 
 def _as_scalar(u, reference):

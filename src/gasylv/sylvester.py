@@ -18,17 +18,18 @@ the first method accepting n.  At odd n the full phi_B(A) can vanish on
 a problem that is not singular, so a zero Q from general is retried
 with general_odd.
 
-A rational problem is solved as integers, scaled once (see _solve).
-The recursions run on one of two kernels, chosen from the problem
-alone: the blade loop of Multivector, or, for dense operands from n = 5
-in the rational ring and n = 6 in f64, the spinor matrices of _spinor,
-N x N complex matrices whose product costs O(N**3) against the blade
-loop's 4**n.  The closed forms, which conjugate, stay on blades, and
-the default skips them where the matrices pay off.  In the rational
-ring both kernels give the same D, F, M and Q, and an answer is checked
-on the kernel that computed it: AM - MB - QC = 0 on the numerator
-M = Adj(D)F is Q times AX - XB - C, and X = M / Q is the one division.
-D and F go back to blades when the solution's fields are first read.
+A rational problem is solved as integers, scaled once, and the
+recursions run, as charpoly's public ones do (_spinor.enter), on one
+of two kernels chosen from the problem alone: the blade loop of
+Multivector, or, for dense operands from n = 5 in the rational ring
+and n = 6 in f64, the spinor matrices of _spinor, N x N complex
+matrices whose product costs O(N**3) against the blade loop's 4**n.
+The closed forms, which conjugate, stay on blades, and the default
+skips them where the matrices pay off.  In the rational ring both
+kernels give the same D, F, M and Q, and an answer is checked on the
+kernel that computed it: AM - MB - QC = 0 on the numerator M = Adj(D)F
+is Q times AX - XB - C, and X = M / Q is the one division.  D and F go
+back to blades when the solution's fields are first read.
 In f64 the kernels differ by rounding, and the residual check judges
 either answer on the blades, where the flag is defined.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from math import isfinite, lcm
+from math import isfinite
 from operator import add, mul
 from typing import NamedTuple
 
@@ -60,11 +61,16 @@ from .algebra import (
 )
 from .charpoly import (
     _as_scalar,
+    _blades,
+    _char_poly,
     _closed_adjugate,
+    _generalized,
     _newton,
+    _OnFirstRead,
     _resultant,
-    char_poly,
-    generalized_coeffs,
+    # Not called here; perfbench's tracer wraps them in this namespace.
+    char_poly,  # noqa: F401
+    generalized_coeffs,  # noqa: F401
     inverse,
     is_zero_scalar,
 )
@@ -105,28 +111,6 @@ class SylvesterProblem:
     @property
     def ring(self):
         return self.a.ring
-
-
-class _OnFirstRead:
-    """A Multivector field of SylvesterSolution that may be given as a
-    partial, called on the first read of the field and then kept.  A
-    solve on the spinor matrices passes D and F so: their conversion
-    back to blades is paid only where they are read."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            # The field has no default (dataclass reads it on the class).
-            raise AttributeError(self.name)
-        value = sol.__dict__[self.name]
-        if isinstance(value, partial):
-            value = sol.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, sol, value):
-        sol.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -177,16 +161,19 @@ def _assemble_f(pw, c, differences):
 
 def build_D_general(a, b):
     """D = A**N - b_(1) A**(N-1) - ... - b_(N) with the b_(k) taken from
-    the characteristic polynomial of b."""
-    data = char_poly(b)
-    return _assemble_d(_powers(a, data.degree), data.coeffs)
+    the characteristic polynomial of b, on the kernel of a and b."""
+    (a, b), scale = _spinor.enter((a, b))
+    coeffs, _ = _coefficients(b, GENERAL)
+    return _blades(_assemble_d(_powers(a, len(coeffs)), coeffs), scale ** len(coeffs))
 
 
 def build_F_general(a, b, c):
     """F = sum_j A**(N-j) C (B_(j-1) - b_(j-1)); the j = 1 term is
     A**(N-1) C."""
-    data = char_poly(b)
-    return _assemble_f(_powers(a, data.degree - 1), c, data.differences)
+    (a, b, c), scale = _spinor.enter((a, b, c))
+    coeffs, differences = _coefficients(b, GENERAL)
+    f = _assemble_f(_powers(a, len(differences)), c, differences)
+    return _blades(f, scale ** len(coeffs))
 
 
 def _closed_differences(b, method):
@@ -211,7 +198,7 @@ def _coefficients(b, method):
     closed form states its differences, and its coefficients follow from
     the same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L)."""
     if method in _RECURSIONS:
-        data = char_poly(b) if method == GENERAL else generalized_coeffs(b)
+        data = _char_poly(b) if method == GENERAL else _generalized(b)
         return data.coeffs, data.differences
     differences = _closed_differences(b, method)
     coeffs, cur = [], b
@@ -243,7 +230,7 @@ def _adjugate(phi, method):
         adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
         return adj, _as_scalar(d * adj, d)
     if d.ring == FLOAT64 or isinstance(d, Multivector):
-        inv = char_poly(d)
+        inv = _char_poly(d)
         return inv.adjugate(), inv.determinant()
     return _resultant_adjugate(phi, method)
 
@@ -366,7 +353,7 @@ def _exact_x(a, b, c, m, q, method):
         raise ResidualCheckFailedError(
             f"the numerator of method {method} is not a spinor image"
         )
-    return _blades(m) / q
+    return _blades(m, q)
 
 
 def _float_x(prob, m, q):
@@ -385,19 +372,12 @@ def _float_x(prob, m, q):
     return x, residual, not (isfinite(residual) and residual <= bound)
 
 
-def _blades(u, den=1):
-    """An element of either kernel as a Multivector divided by den."""
-    if not isinstance(u, Multivector):
-        u = u.multivector()
-    return u if den == 1 else u / den
-
-
 def _solve(prob, method):
     """The one core of every method: D = phi_B(A) and F from B's
     coefficients and differences, M = Adj(D) F and Q, checked and
     divided once.  An f64 D or Q that overflows is refused.
 
-    A, B and C enter times the lcm L of their denominators (1 in f64).
+    A, B and C enter times the lcm L of their denominators (_spinor.enter).
     D and F, of degree len(coeffs), leave divided by L to that degree,
     and Q by L to N times it; X = M / Q and the check, which is
     L**(1 + N len(coeffs)) times AM - MB - QC, need no scaling."""
@@ -405,12 +385,9 @@ def _solve(prob, method):
         raise ValueError(f"unknown method {method!r}")
     if prob.sig.dim not in _METHOD_TABLE[method]:
         raise ValueError(f"{method} does not accept n = {prob.sig.dim}")
-    a, b, c = prob.a, prob.b, prob.c
-    scale = lcm(a._den, b._den, c._den)
-    if scale != 1:
-        a, b, c = a.scale(scale), b.scale(scale), c.scale(scale)
-    if method in _RECURSIONS and _spinor.pays_off(a, b):
-        a, b, c = (_spinor.SpinorMatrix.of(u) for u in (a, b, c))
+    (a, b, c), scale = _spinor.enter(
+        (prob.a, prob.b, prob.c), method in _RECURSIONS
+    )
     coeffs, differences = _coefficients(b, method)
     pw = _powers(a, len(coeffs))
     d = _assemble_d(pw, coeffs)

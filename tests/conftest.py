@@ -52,13 +52,13 @@ def inversions(monkeypatch):
 
 
 def assert_char_poly_answers(calls):
-    """Each recorded inversion gives what the char poly of D gives:
-    q = Det(D), and, where q is not zero, adj = Adj(D)."""
-    from gasylv import char_poly
+    """Each recorded inversion gives what the char poly of D gives, on
+    D's own kernel: q = Det(D), and, where q is not zero, adj = Adj(D)."""
+    from gasylv.charpoly import _char_poly
 
     assert calls
     for method, phi, adj, q in calls:
-        ref = char_poly(phi.d)
+        ref = _char_poly(phi.d)
         assert q == ref.determinant(), method
         if q:
             assert (adj - ref.adjugate()).is_zero(), method

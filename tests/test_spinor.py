@@ -21,11 +21,15 @@ from gasylv import (
     Signature,
     SingularProblemError,
     SylvesterProblem,
+    adjugate,
     build_D_general,
     build_F_general,
     center_project,
+    char_poly,
     determinant,
     format_multivector,
+    generalized_coeffs,
+    inverse,
     solve,
     verify_residual,
 )
@@ -610,6 +614,92 @@ def test_float_matrix_path_agrees_with_the_blades(sig, rng, monkeypatch):
         assert max(
             abs(g - w) for g, w in zip(got.x.coeffs, want.x.coeffs)
         ) <= 1e-9 * size
+
+
+def _typed(value):
+    """A value with the types of its coefficients, or of itself."""
+    items = value if isinstance(value, tuple) else (value,)
+    return value, [type(c) for u in items for c in getattr(u, "coeffs", [u])]
+
+
+def _public_values(b):
+    """Every public recursion of b, each value with its types."""
+    data = char_poly(b)
+    values = [data.coeffs, data.iterates, data.differences]
+    if b.sig.dim % 2:
+        values.append(generalized_coeffs(b).coeffs)
+    values += [determinant(b), adjugate(b), inverse(b)]
+    return [_typed(v) for v in values]
+
+
+def _terms(sig, rng, count, kind):
+    """An element with count nonzero terms, ints or k/d."""
+    terms = {}
+    while len(terms) < count:
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        if kind == "frac":
+            k = Fraction(k, rng.randint(1, 7))
+        terms[rng.randrange(sig.ncoeffs)] = k
+    return Multivector.from_terms(sig, terms)
+
+
+@pytest.mark.parametrize(
+    "sig", all_signatures(8, 5) + [Signature(5, 4), Signature(4, 5)], ids=repr
+)
+def test_public_recursions_take_the_kernel_rule(sig, rng, monkeypatch):
+    # One element b takes pays_off(b, b): with 8 terms it reaches the
+    # matrices, with 7 never, and both give the values and coefficient
+    # types of the blades.  (Fully dense blade runs take 0.1-1.8 s each
+    # at n = 8, 9.)
+    made = []
+    of = SpinorMatrix.of
+    monkeypatch.setattr(SpinorMatrix, "of", lambda u: made.append(u) or of(u))
+    dense = [_terms(sig, rng, 8, kind) for kind in ("int", "frac")]
+    sparse = [_terms(sig, rng, 7, kind) for kind in ("int", "frac")]
+    assert all(_spinor.pays_off(b, b) for b in dense)
+    matrix = [_public_values(b) for b in dense]
+    # char_poly, determinant, adjugate, inverse and, at odd n,
+    # generalized_coeffs each convert the element once.
+    assert len(made) == len(dense) * (4 + sig.dim % 2)
+    made.clear()
+    for b in sparse:
+        _public_values(b)
+    assert made == []
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    assert [_public_values(b) for b in dense] == matrix
+    assert made == []
+
+
+@pytest.mark.parametrize("sig, refused", [
+    (Signature(3, 3), False), (Signature(2, 4), False),
+    (Signature(4, 3), True), (Signature(3, 4), True),
+], ids=repr)
+def test_public_float_recursions_on_both_kernels(sig, refused, rng, monkeypatch):
+    # Dense uniform(-1, 1) elements: at n = 6 both kernels answer, with
+    # Det equal within 1e-12 relative; at n = 7 both refuse alike.
+    elements = [
+        Multivector(sig, [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)], FLOAT64)
+        for _ in range(3)
+    ]
+
+    def dets():
+        out = []
+        for b in elements:
+            try:
+                out.append(determinant(b))
+            except NumericalDegradationError as exc:
+                out.append(type(exc))
+        return out
+
+    assert all(_spinor.pays_off(b, b) for b in elements)
+    matrix = dets()
+    monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    blade = dets()
+    if refused:
+        assert matrix == blade == [NumericalDegradationError] * 3
+    else:
+        for got, want in zip(matrix, blade):
+            assert type(got) is float and abs(got - want) <= 1e-12 * abs(want)
 
 
 @lru_cache(maxsize=None)

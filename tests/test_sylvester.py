@@ -407,6 +407,22 @@ class TestGeneralAssembly:
         b = random_mv(sig, rng, -3, 3)
         assert build_D_general(b, b).is_zero()
 
+    def test_dense_operands_assemble_on_the_matrices(self, rng, monkeypatch):
+        # Dense operands take the solver's kernel rule, pays_off(a, b):
+        # D and F are assembled on the matrices, converted back once,
+        # and equal the blade values, fraction operands included.
+        sig = Signature(3, 3)
+        a, b, c = (random_mv(sig, rng, -3, 3) for _ in range(3))
+        b = b / 5
+        made = []
+        of = _spinor.SpinorMatrix.of
+        monkeypatch.setattr(_spinor.SpinorMatrix, "of", lambda u: made.append(u) or of(u))
+        got = build_D_general(a, b), build_F_general(a, b, c)
+        assert len(made) == 5
+        monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+        assert (build_D_general(a, b), build_F_general(a, b, c)) == got
+        assert len(made) == 5
+
 
 def _frac_mv(sig, rng):
     return Multivector(sig, [
