@@ -26,6 +26,18 @@ verified once, when first built, against row-by-row products of explicit
 monomial matrices: the generator relations and every blade image.  So
 an exact answer can be checked by substitution on its images.
 
+Cl(p,q) is a real algebra, so where its images carry imaginary parts a
+Pauli string J with J e_a J**-1 = conj e_a for every generator image
+conjugates them all (the real or quaternionic structure of Lounesto's
+classification).  J is found and checked with the tables; it is the
+identity exactly where every image is real, and there is none where
+one complex block is kept (onto).  For an image W, row r ^ x_J of W
+is then row r conjugated, up to signs, so Re tr(e_A**-1 W) is twice the
+sum over the rows without x_J's top bit.  product_source generates
+from the tables the exact dense product of two elements at n = 4 and
+5 (algebra._image_line): their images, half the rows of each product
+block where x_J is not 0, and the blades read back by one shift.
+
 SpinorMatrix offers what the Faddeev-LeVerrier recursion and the D and F
 assembly use of a Multivector: products, sums and scaling, the scalar
 part Re tr / N, the grade-0 and (odd n) grade-n projections from the
@@ -66,11 +78,13 @@ from .errors import InternalError
 # random blades in A and B: at n = 6..8 the blade loop won up to 5x with
 # nnz = 5 or 7 and the matrices won 1.2-6.5x with nnz = 11.  At n = 5
 # the time of closed_n5 on blades over that of general_odd on the
-# matrices, ints and k/d, was 0.5-1.0 at nnz = 6, 1.06-1.46 at nnz = 8
-# and 1.3-1.85 dense, except in the two H + H algebras Cl(1,4) and
-# Cl(5,0): 0.76-0.87 at nnz = 8 and 0.96-1.10 dense.  f64 stays at
-# n = 6, where tests/fixtures/float_golden.json pins the n = 5 answers
-# of both recursions bit for bit.
+# matrices, ints / k/d, median of 5, was with the blade product of
+# algebra._image_line 1.31 / 1.48 dense and 1.16 / 1.28 at nnz = 8 in
+# the real Cl(3,2), 0.84-0.91 / 1.00-1.03 and 0.84-0.90 / 0.93-0.95 in
+# Cl(2,3), Cl(4,1) and Cl(0,5), and 0.72-0.81 and 0.65-0.69 in the two
+# H + H algebras Cl(1,4) and Cl(5,0).  The rule has not moved with it.
+# f64 stays at n = 6, where tests/fixtures/float_golden.json pins the
+# n = 5 answers of both recursions bit for bit.
 MIN_DIM = {RATIONAL: 5, FLOAT64: 6}
 MIN_PAIRS = 64
 
@@ -168,6 +182,7 @@ class _Representation:
             for z in range(s)
         )
         self._verify(generators, flip)
+        self.conjugation = self._conjugation(generators, flip)
         # The conversions, in x-major order: entry x s + r of diagonals'
         # list is M[r, r ^ x], and scatter puts such a list back in place.
         area = s * s
@@ -213,6 +228,13 @@ class _Representation:
             tuple((k if sign > 0 else k + 2) & 3 for sign in self.signs[z]),
         )
 
+    def _images(self, generators, flip, second):
+        """The explicit monomial matrices of the generators in a block."""
+        return [
+            self._monomial((x, z, k + 2 * (second and flip >> a & 1)))
+            for a, (x, z, k) in enumerate(generators)
+        ]
+
     def _verify(self, generators, flip):
         """Raise InternalError unless, in every kept block, the generator
         images satisfy e_a e_b + e_b e_a = 2 eta_ab and every blade image
@@ -225,27 +247,16 @@ class _Representation:
         other."""
         sig, s = self.sig, self.size
         identity = tuple(range(s))
-
-        def product(u, v):
-            (u_cols, u_powers), (v_cols, v_powers) = u, v
-            return (
-                tuple(v_cols[c] for c in u_cols),
-                tuple((k + v_powers[c]) & 3 for c, k in zip(u_cols, u_powers)),
-            )
-
         for second, table in enumerate(self.blades):
-            images = [
-                self._monomial((x, z, k + 2 * (second and flip >> a & 1)))
-                for a, (x, z, k) in enumerate(generators)
-            ]
+            images = self._images(generators, flip, second)
             for a, image in enumerate(images):
                 square = 2 if a >= sig.p else 0
-                if product(image, image) != (identity, (square,) * s):
+                if _monomial_product(image, image) != (identity, (square,) * s):
                     raise InternalError(f"generator {a + 1} of {sig!r} squares wrongly")
                 for b in range(a):
-                    cols, powers = product(images[b], image)
+                    cols, powers = _monomial_product(images[b], image)
                     minus = (cols, tuple((k + 2) & 3 for k in powers))
-                    if product(image, images[b]) != minus:
+                    if _monomial_product(image, images[b]) != minus:
                         raise InternalError(
                             f"generators {b + 1}, {a + 1} of {sig!r} do not anticommute"
                         )
@@ -254,13 +265,62 @@ class _Representation:
                 raise InternalError(f"the unit of {sig!r} has the wrong image")
             for mask in range(1, len(table)):
                 top = mask.bit_length() - 1
-                want = product(self._monomial(table[mask ^ (1 << top)]), images[top])
+                below = self._monomial(table[mask ^ (1 << top)])
+                want = _monomial_product(below, images[top])
                 if self._monomial(table[mask]) != want:
                     raise InternalError(f"blade image {mask} of {sig!r} is wrong")
         if self.count == 2 and {self._monomial(t[-1]) for t in self.blades} != {
             (identity, (0,) * s), (identity, (2,) * s),
         }:
             raise InternalError(f"the two blocks of {sig!r} are not told apart")
+
+    def _conjugation(self, generators, flip):
+        """J, the Pauli string (x, z, k) with J e_a J**-1 = conj e_a for
+        the image e_a of every generator, or None where there is none.
+
+        Distinct generators anticommute, so J = the image of the blade
+        e_S multiplies e_a by (-1)**(|S| - [a in S]), and conj multiplies
+        it by (-1)**k_a, i**k_a its phase.  Hence S is the set of the
+        generators with odd k_a where they are even in number, else that
+        of those with even k_a where they are odd in number.  At even n
+        one of the two holds; at odd n both (S and its complement give
+        one string) or neither, and neither exactly where the
+        pseudoscalar's image is i**k times the identity with k odd,
+        which J fixes and conj negates: where onto.  J is the identity
+        exactly where every image is real.  J is checked, in every kept
+        block, on explicit monomial matrices; then J W J**-1 = conj W
+        for every image W, and rows r and r ^ x_J of W determine each
+        other."""
+        odd = sum(1 << a for a, g in enumerate(generators) if g[2] & 1)
+        even = ((1 << len(generators)) - 1) ^ odd
+        if not odd.bit_count() & 1:
+            blade = odd
+        elif even.bit_count() & 1:
+            blade = even
+        else:
+            return None
+        j = self.blades[0][blade]
+        conjugator = self._monomial(j)
+        for second in range(self.count):
+            for a, (cols, powers) in enumerate(self._images(generators, flip, second)):
+                conj = (cols, tuple(-k & 3 for k in powers))
+                if _monomial_product(conjugator, (cols, powers)) != _monomial_product(
+                    conj, conjugator
+                ):
+                    raise InternalError(
+                        f"J of {self.sig!r} does not conjugate generator {a + 1}"
+                    )
+        return j
+
+
+def _monomial_product(u, v):
+    """The product of two explicit monomial matrices, (columns, powers of
+    i) per row, taken row by row."""
+    (u_cols, u_powers), (v_cols, v_powers) = u, v
+    return (
+        tuple(v_cols[c] for c in u_cols),
+        tuple((k + v_powers[c]) & 3 for c, k in zip(u_cols, u_powers)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +485,85 @@ def _matmul(s):
     namespace = {}
     exec(code, namespace)
     return namespace["product"]
+
+
+def _signed(terms):
+    """The source of a signed sum of (negative, term) pairs; 0 for none."""
+    text = "".join(f" {'-' if neg else '+'} {term}" for neg, term in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def product_source(sig):
+    """The source of one function of the numerators of two integer
+    elements of sig to those of their product, through their images.
+
+    It forms the image entries of u and v as signed sums of their
+    numerators, multiplies the kept blocks, and reads coefficient A back
+    as Re tr(e_A**-1 W) / N, as SpinorMatrix.multivector does, with one
+    shift for the division.  Where J (_Representation._conjugation)
+    moves rows, J W J**-1 = conj W makes the trace terms of rows r and
+    r ^ x_J conjugate: only the rows without x_J's top bit are formed,
+    each counted twice, and the shift is one less.  A real or imaginary
+    part that vanishes for every element is left out."""
+    rep = _representation(sig)
+    s, j = rep.size, rep.conjugation
+    # x_J's top bit; 0 where J moves no row, or there is no J.
+    half = 1 << j[0].bit_length() >> 1 if j else 0
+    rows = [r for r in range(s) if not r & half]
+    shift = rep.degree.bit_length() - 1 - bool(half)
+    blades = range(len(rep.blades[0]))
+    lines = [
+        "def product(u, v):",
+        "".join(f"u{a}, " for a in blades) + "= u",
+        "".join(f"v{a}, " for a in blades) + "= v",
+    ]
+    readback = [[] for _ in blades]
+    for b, table in enumerate(rep.blades):
+        by_x = [[] for _ in range(s)]
+        for a, (x, z, k) in enumerate(table):
+            by_x[x].append((a, z, k))
+
+        def entries(name, rows):
+            # Entry (r, c) is the sum of i**k (-1)**popcount(r & z) times
+            # the coefficient of each blade (x, z, k) with x = r ^ c.
+            parts = {}
+            for r in rows:
+                for c in range(s):
+                    terms = ([], [])
+                    for a, z, k in by_x[r ^ c]:
+                        sign = ((k >> 1) + (r & z).bit_count()) & 1
+                        terms[k & 1].append((sign, f"{name}{a}"))
+                    for part, signed in enumerate(terms):
+                        if signed:
+                            parts[r, c, part] = f"{name}{b}_{r}_{c}{'ri'[part]}"
+                            lines.append(f"{parts[r, c, part]} = {_signed(signed)}")
+            return parts
+
+        left, right = entries("u", rows), entries("v", range(s))
+        for r in rows:
+            for c in range(s):
+                read = by_x[r ^ c]
+                for part in sorted({k & 1 for _, _, k in read}):
+                    # Re: ur vr - ui vi; Im: ur vi + ui vr.
+                    pairs = ((0, part, 0), (1, 1 - part, 1 - part))
+                    terms = [
+                        (neg, f"{left[r, i, pu]} * {right[i, c, pv]}")
+                        for i in range(s)
+                        for pu, pv, neg in pairs
+                        if (r, i, pu) in left and (i, c, pv) in right
+                    ]
+                    product = f"w{b}_{r}_{c}{'ri'[part]}"
+                    lines.append(f"{product} = {_signed(terms)}")
+                    for a, z, k in read:
+                        if k & 1 == part:
+                            sign = ((k >> 1) + (r & z).bit_count()) & 1
+                            readback[a].append((sign, product))
+    lines.append("return (" + "".join(
+        f"({_signed(terms)}) >> {shift}, " for terms in readback
+    ) + ")")
+    return "\n    ".join(lines)
 
 
 def _block_product(u, v, s):

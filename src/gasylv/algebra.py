@@ -13,8 +13,12 @@ but for _spinor.enter, which scales every recursion to integers.
 The geometric product is one loop over the nonzero coefficient pairs,
 with a sign mask per blade row, at every n.  Dense operands, with
 nnz(u) nnz(v) >= 4**n / 5, run a straight-line function generated once
-per signature from the same masks at n = 4 and 5 in the rational ring
-and at n = 5 in f64; it adds the same terms in the same order.
+per signature: at n = 4 and 5 in the rational ring, from the verified
+spinor tables of _spinor, which multiplies the operands' matrix images
+(64 products in place of 256 in Cl(2,2)) and reads the blades back
+exactly; at n = 5 in f64, from the same masks as the loop, adding the
+same terms in the same order.  The central part of a product, which the
+closed forms' coefficients need, takes O(2**n) (_center_of_product).
 """
 
 from __future__ import annotations
@@ -101,31 +105,40 @@ def _sign_masks(n, p):
 
 
 # Products in a ring at an n listed for it, with nnz(u) nnz(v) >= 4**n / 5
-# nonzero coefficient pairs, run _straight_line; all others run the mask
-# loop in Multivector.__mul__.  Per product, 2-core x86-64, CPython 3.11:
-# - n = 5: the generated function took 13-17 us and the loop 0.06-0.08
-#   us per pair, so the loop won below about 185 pairs (of 1 024) in
-#   ints and 250 in f64; the rule puts the line at 205.
-# - n = 4, in Cl(2,2), Cl(3,1) and Cl(1,3): the function took 2.8-3.7
-#   us with ints in [-3,3] and 3.7-5.3 us with k/d, |k|, d <= 7, at any
-#   density.  The loop took 2.5-2.9 us at 16 pairs, 3.7-4.1 at 36,
-#   4.4-4.8 at 49, 5.3-5.5 at 64 and 14.7-16.2 at 256 (of 256).  It won
-#   at 16 pairs in ints and up to 36 in k/d; the rule puts the line at 52.
+# nonzero coefficient pairs, run a generated function: _image_line in the
+# rational ring and _straight_line in f64.  All others run the mask loop
+# in Multivector.__mul__.  Per product, 2-core x86-64, CPython 3.11, best
+# of 5, noisy to about 30 %:
+# - rational, dense: _image_line against the blade _straight_line it
+#   replaced, with ints in [-3,3] / [-300,300] / [-10**40,10**40]: at
+#   n = 4, Cl(2,2) 4.6-7.3 -> 3.1-4.6 us, 1.6x / 2.0-2.1x / 2.1-2.3x,
+#   and the four signatures with complex images 1.2-1.4x / 1.6-2.0x /
+#   1.2-1.8x; at n = 5, 18-22 -> 8-11 us, 1.8-2.3x / 2.4-3.1x / 2.0-3.1x.
+# - rational crossover: with A and B of k random blades, ints or k/d,
+#   |k|, d <= 7, _image_line took 3.5-10 us at any density at n = 4,
+#   and the loop 4.6-8 us at 16 pairs, 7-13 at 49 and 26-44 at 256.  At
+#   n = 5 they tied near 64-100 pairs (9-23 us each).  So the kernel
+#   would win from about 16 pairs at n = 4 and 100 at n = 5.  The rule
+#   keeps its line at 52 and 205 pairs: a lower one moves sparse
+#   products (the CLI's literals) onto the kernel, and wants its own
+#   paired runs.
+# - f64, n = 5: the generated function took 13-17 us and the loop
+#   0.06-0.08 us per pair, so the loop won below about 250 pairs.
 # f64 stops at n = 5.  The n = 4 kernel speeds f64 solves up too, but
 # perfbench/run.py keeps one record per op, so its peak RSS grows with
 # ops/s past that metric's bound; enabling it is one entry, 4, below.
 # Dense exact n = 5 solves and public recursions run on the spinor
 # matrices, but the rational 5 serves an explicit closed_n5,
 # closed_form_det and the dense intermediate products of sparse
-# closed_n5 solves: without it, closed_n5 on dense Cl(3,2) problems
-# took 1.7 -> 3.6 ms with ints and 2.6 -> 4.9 ms with k/d (median of 5).
+# closed_n5 solves.
 _STRAIGHT_LINE_DIMS = {RATIONAL: (4, 5), FLOAT64: (5,)}
 
 
 @lru_cache(maxsize=None)
 def _straight_line(n, p):
     """The product of two elements of Cl(p, n-p), unrolled from
-    _sign_masks(n, p): a function of (u, v, zero) on their numerators.
+    _sign_masks(n, p): a function of (u, v, zero) on their numerators,
+    which f64 products run at n = 5.
 
     Output k is zero ± u_a v_(a^k) summed in ascending a, the order of
     the mask loop, so float results round as the loop's do wherever no
@@ -148,6 +161,19 @@ def _straight_line(n, p):
     ])
     namespace = {}
     exec(compile(source, f"<product Cl({p},{n - p})>", "exec"), namespace)
+    return namespace["product"]
+
+
+@lru_cache(maxsize=None)
+def _image_line(n, p):
+    """The product of two integer elements of Cl(p, n-p) through their
+    spinor images: a function of (u, v) on their numerators, generated
+    from the verified tables of _spinor (product_source)."""
+    from ._spinor import product_source  # _spinor imports this module
+
+    namespace = {}
+    source = product_source(Signature(p, n - p))
+    exec(compile(source, f"<image product Cl({p},{n - p})>", "exec"), namespace)
     return namespace["product"]
 
 
@@ -337,7 +363,10 @@ class Multivector:
             and (len(u) - u.count(0)) * (len(v) - v.count(0)) * 5 >= 1 << 2 * n
             and (self.ring == RATIONAL or isfinite(sum(u) + sum(v)))
         ):
-            out = _straight_line(n, self.sig.p)(u, v, self._zero())
+            if self.ring == RATIONAL:
+                out = _image_line(n, self.sig.p)(u, v)
+            else:
+                out = _straight_line(n, self.sig.p)(u, v, 0.0)
             return _build(self.sig, self.ring, out, self._den * other._den)
         out = [self._zero()] * (1 << n)
         # e_a e_b = -e_(a^b) exactly when b & masks[a] has odd popcount.
@@ -502,6 +531,30 @@ def center_project(u):
     if n & 1:
         out = out + u.grade_project(n)
     return out
+
+
+def _center_of_product(u, v):
+    """center_project(u * v) in O(2**n) products: its scalar part sums
+    +-u_a v_a, and at odd n its pseudoscalar part +-u_a v_(a ^ I), over
+    the nonzero u_a in ascending a, the order in which the product sums
+    them, so f64 values round as the product's on every interpreter."""
+    n = u.sig.dim
+    v_num, zero = v._num, u._zero()
+    masks = _sign_masks(n, u.sig.p)
+    popcount = _grades(n)
+    top = (1 << n) - 1
+    out = [zero] * (1 << n)
+    for k in (0, top) if n & 1 else (0,):
+        total = zero
+        for a in compress(range(1 << n), u._num):
+            b = a ^ k
+            if v_num[b]:
+                if popcount[b & masks[a]] & 1:
+                    total -= u._num[a] * v_num[b]
+                else:
+                    total += u._num[a] * v_num[b]
+        out[k] = total
+    return _build(u.sig, u.ring, out, u._den * v._den)
 
 
 def natural(b):

@@ -53,8 +53,10 @@ from .algebra import (
     MAX_DIM,
     RATIONAL,
     Multivector,
+    _center_of_product,
     _require_finite,
     _value,
+    center_project,
     conjugate,
     natural,
     sharp,
@@ -133,11 +135,12 @@ def verify_residual(prob, x):
 
 
 def _powers(a, top):
-    """[e, A, A**2, ..., A**top] with one product per entry."""
-    pw = [type(a).scalar(a.sig, 1, a.ring)]
-    for _ in range(top):
+    """[e, A, A**2, ..., A**top]: e and A as they are, then one product
+    per entry."""
+    pw = [type(a).scalar(a.sig, 1, a.ring), a]
+    while len(pw) <= top:
         pw.append(pw[-1] * a)
-    return pw
+    return pw[:top + 1]
 
 
 def _assemble_d(pw, coeffs):
@@ -151,11 +154,13 @@ def _assemble_d(pw, coeffs):
 
 
 def _assemble_f(pw, c, differences):
-    """F = A**(L-1) C + sum_j A**(L-j) C (B_(j-1) - c_(j-1)), j = 2..L."""
+    """F = A**(L-1) C + sum_j A**(L-j) C (B_(j-1) - c_(j-1)), j = 2..L,
+    with A**0 C = C itself."""
     length = len(differences) + 1
-    f = pw[length - 1] * c
+    ac = [c] + [u * c for u in pw[1:length]]
+    f = ac[length - 1]
     for j, diff in enumerate(differences, start=2):
-        f = f + pw[length - j] * c * diff
+        f = f + ac[length - j] * diff
     return f
 
 
@@ -189,23 +194,28 @@ def _closed_differences(b, method):
         t1, t3, top = b.tilde().hat(), conjugate(b.tilde(), "triangle"), natural(b)
     else:
         t1, t3, top = b.tilde(), conjugate(b.hat().tilde(), "triangle"), sharp(b)
-    return (-(t1 + t2 + t3), t1 * t2 + t1 * t3 + top, -(t1 * top))
+    return (-(t1 + t2 + t3), t1 * (t2 + t3) + top, -(t1 * top))
 
 
 def _coefficients(b, method):
     """B's coefficients c_(k) and differences e_k = B_(k) - c_(k) for a
-    method.  The recursions run their Faddeev-LeVerrier recursion; a
+    method, the c_(k) plain scalars at even n and central elements at
+    odd n.  The recursions run their Faddeev-LeVerrier recursion; a
     closed form states its differences, and its coefficients follow from
-    the same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L)."""
+    the same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L).  As
+    c_(k) is central, it is the central part of B_(k) - e_k, and that of
+    B e_k takes no product (_center_of_product)."""
     if method in _RECURSIONS:
         data = _char_poly(b) if method == GENERAL else _generalized(b)
         return data.coeffs, data.differences
     differences = _closed_differences(b, method)
-    coeffs, cur = [], b
-    for diff in differences:
-        coeffs.append(cur - diff)
-        cur = b * diff
-    return (*coeffs, cur), differences
+    iterates = [center_project(b)]
+    iterates += [_center_of_product(b, diff) for diff in differences]
+    coeffs = [u - center_project(diff) for u, diff in zip(iterates, differences)]
+    coeffs.append(iterates[-1])
+    if b.sig.dim % 2 == 0:
+        coeffs = [u.scalar_part() for u in coeffs]
+    return tuple(coeffs), differences
 
 
 class _Phi(NamedTuple):

@@ -200,9 +200,10 @@ def _hex(u):
 
 
 class TestStraightLineProduct:
-    """Dense products at n = 4 and 5 in the rational ring, and at n = 5
-    in f64, run a function generated from the sign masks; it must be the
-    mask loop, term for term and rounding for rounding."""
+    """Dense products at n = 4 and 5 in the rational ring run a function
+    generated from the spinor tables, which must give the mask loop's
+    exact values; at n = 5 in f64 they run a function generated from the
+    sign masks, which must be the mask loop rounding for rounding."""
 
     @pytest.mark.parametrize("sig", N4_SIGNATURES + N5_SIGNATURES, ids=repr)
     def test_encoded_product_is_the_loop_term_for_term(self, sig, monkeypatch):
@@ -215,7 +216,7 @@ class TestStraightLineProduct:
         n, size = sig.dim, sig.ncoeffs
         u = Multivector(sig, [x ** a for a in range(size)])
         v = Multivector(sig, [x ** (size * b) for b in range(size)])
-        kernel = algebra._straight_line(n, sig.p)(u._num, v._num, 0)
+        kernel = algebra._image_line(n, sig.p)(u._num, v._num)
         assert (u * v)._num == kernel
         assert _loop_product(u, v, monkeypatch)._num == kernel
         for k, value in enumerate(kernel):
@@ -234,6 +235,24 @@ class TestStraightLineProduct:
                 assert word_to_mask(word) == k
                 expected[a + size * b] = sign
             assert digits == expected
+
+    @pytest.mark.parametrize("sig", N4_SIGNATURES + N5_SIGNATURES, ids=repr)
+    def test_huge_and_fraction_operands_are_the_loop(self, sig, rng, monkeypatch):
+        big = 10**400
+        draws = (
+            lambda: rng.randint(-big, big),
+            lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 7)),
+            lambda: Fraction(rng.randint(-big, big), rng.randint(1, 7)),
+        )
+        for draw in draws:
+            for _ in range(3):
+                u, v = (Multivector(sig, [draw() for _ in range(sig.ncoeffs)])
+                        for _ in range(2))
+                assert u * v == _loop_product(u, v, monkeypatch)
+                assert _in_lowest_terms(u * v)
+        u = Multivector(sig, [rng.randint(-big, big) for _ in range(sig.ncoeffs)])
+        v = Multivector(sig, [rng.randint(-9, 9) for _ in range(sig.ncoeffs)])
+        assert u * v == oracle_product(u, v)
 
     @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
     def test_float_results_round_as_the_loop(self, sig, rng, monkeypatch):
@@ -263,19 +282,28 @@ class TestStraightLineProduct:
 
     def test_sparse_and_non_finite_operands_take_the_loop(self, rng, monkeypatch):
         calls = []
-        kernel = algebra._straight_line
 
-        def recorded(n, p):
-            calls.append((n, p))
-            return kernel(n, p)
+        def recorder(name):
+            kernel = getattr(algebra, name)
 
-        monkeypatch.setattr(algebra, "_straight_line", recorded)
+            def recorded(n, p):
+                calls.append((name, n, p))
+                return kernel(n, p)
+
+            return recorded
+
+        for name in ("_image_line", "_straight_line"):
+            monkeypatch.setattr(algebra, name, recorder(name))
         sig = Signature(3, 2)
         dense = random_mv(sig, rng, 1, 9)
         dense * dense
         dense4 = random_mv(Signature(2, 2), rng, 1, 9)
         dense4 * dense4
-        assert calls == [(5, 3), (4, 2)]
+        dense_f64 = random_mv(sig, rng, 1, 9, FLOAT64)
+        dense_f64 * dense_f64
+        assert calls == [
+            ("_image_line", 5, 3), ("_image_line", 4, 2), ("_straight_line", 5, 3),
+        ]
         calls.clear()
         # 6 x 32 = 192 nonzero pairs stay below the threshold 4^5 / 5.
         sparse = Multivector.from_terms(sig, {m: 1 for m in range(0, 32, 6)})
@@ -287,7 +315,7 @@ class TestStraightLineProduct:
         assert seven * seven == _loop_product(seven, seven, monkeypatch)
         assert calls == []
         assert eight * seven == _loop_product(eight, seven, monkeypatch)
-        assert calls == [(4, 2)]
+        assert calls == [("_image_line", 4, 2)]
         calls.clear()
         # f64 stays on the loop at n = 4, and n = 6 has no kernel.
         for other, ring in (
@@ -462,6 +490,34 @@ class TestCenterProject:
                 + conjugate(conjugate(conjugate(b, "hat"), "tilde"), "triangle")
             )
             assert total / 4 == center_project(b)
+
+
+class TestCenterOfProduct:
+    @pytest.mark.parametrize("sig", all_signatures(7), ids=repr)
+    def test_is_the_center_of_the_product(self, sig, rng):
+        pairs = [
+            (random_mv(sig, rng), random_mv(sig, rng)),
+            (random_sparse_mv(sig, rng, 3), random_mv(sig, rng)),
+            (random_sparse_mv(sig, rng, 4), random_sparse_mv(sig, rng, 4)),
+            (_frac_mv(sig, rng), _frac_mv(sig, rng, 5)),
+            (Multivector.zero(sig), random_mv(sig, rng)),
+        ]
+        for u, v in pairs:
+            got = algebra._center_of_product(u, v)
+            assert got == center_project(u * v)
+            assert _in_lowest_terms(got)
+
+    def test_float_sums_run_left_to_right(self):
+        # Scalar part of u v in Cl(2,0): 1e17 + 1 - 1e17, which rounds to
+        # 0 left to right, as the product sums it; sum() from CPython
+        # 3.12 on compensates and would give 1.
+        sig = Signature(2, 0)
+        u = Multivector(sig, [1e17, 1.0, -1e17, 0.0], FLOAT64)
+        v = Multivector(sig, [1.0, 1.0, 1.0, 0.0], FLOAT64)
+        got = algebra._center_of_product(u, v)
+        assert got.coeffs == (0.0, 0.0, 0.0, 0.0)
+        assert got == center_project(u * v)
+        assert math.fsum([1e17, 1.0, -1e17]) == 1.0
 
 
 class TestScalarViaConjugations:

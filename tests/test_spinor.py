@@ -323,6 +323,49 @@ def test_a_wrong_unit_image_is_refused():
         rep._verify(generators, 0)
 
 
+@pytest.mark.parametrize("sig", all_signatures(8), ids=repr)
+def test_the_conjugation_pairs_rows_where_images_are_complex(sig):
+    rep = _spinor._representation(sig)
+    j = rep.conjugation
+    if rep.onto:
+        assert j is None
+        return
+    real = all(k % 2 == 0 for table in rep.blades for _, _, k in table)
+    assert (j[:2] == (0, 0)) == real
+    if not real:
+        assert j[0]
+    # J commutes with the real blade images and anticommutes with the
+    # imaginary ones, so J e_A J**-1 = conj e_A for every blade.
+    for table in rep.blades:
+        for x, z, k in table:
+            assert ((j[0] & z).bit_count() + (x & j[1]).bit_count()) & 1 == k & 1
+
+
+@pytest.mark.parametrize("sig", all_signatures(8), ids=repr)
+def test_a_generator_image_with_its_sign_flipped_is_refused(sig):
+    rep = _spinor._Representation(sig)
+    flip = sum(1 << a for a in range(sig.dim) if not rep.blades[0][1 << a][0])
+    generators = [rep.blades[0][1 << a] for a in range(sig.dim)]
+    rep._verify(generators, flip)
+    for a in range(sig.dim):
+        x, z, k = generators[a]
+        flipped = generators[:a] + [(x, z, k + 2)] + generators[a + 1:]
+        with pytest.raises(InternalError):
+            rep._verify(flipped, flip)
+
+
+def test_a_wrong_conjugation_is_refused():
+    sig = Signature(1, 3)  # M(2, H): complex images, one block
+    rep = _spinor._Representation(sig)
+    generators = [rep.blades[0][1 << a] for a in range(sig.dim)]
+    assert rep._conjugation(generators, 0) == rep.conjugation
+    # J is read off the blade table; the identity there conjugates nothing.
+    where = rep.blades[0].index(rep.conjugation)
+    rep.blades = (rep.blades[0][:where] + ((0, 0, 0),) + rep.blades[0][where + 1:],)
+    with pytest.raises(InternalError, match="does not conjugate"):
+        rep._conjugation(generators, 0)
+
+
 def test_two_equal_blocks_are_refused():
     sig = Signature(2, 1)  # odd n, pseudoscalar squares to +1: two blocks
     rep = _spinor._Representation(sig)

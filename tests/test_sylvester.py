@@ -1,6 +1,9 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -436,22 +439,21 @@ _CLOSED = [m for m in METHODS if m.startswith("closed_")]
 class TestClosedFormsAreTheRecursion:
     # A closed form states the differences B_(k) - c_(k) as conjugation
     # products of B; they are those of the full recursion at even n and
-    # of the central one at odd n, and so are the coefficients.
+    # of the central one at odd n, and so are the coefficients: plain
+    # scalars at even n, as char_poly gives them, and central elements
+    # at odd n.
     def test_differences_and_coefficients(self, rng):
         for sig in all_signatures(5):
             closed = [m for m in _methods_for(sig.dim) if m in _CLOSED]
             for make in (random_mv, _frac_mv):
                 for _ in range(3):
                     b = make(sig, rng)
-                    if sig.dim % 2:
-                        ref = generalized_coeffs(b)
-                        coeffs = ref.coeffs
-                    else:
-                        ref = char_poly(b)
-                        coeffs = tuple(Multivector.scalar(sig, c) for c in ref.coeffs)
+                    ref = generalized_coeffs(b) if sig.dim % 2 else char_poly(b)
+                    coeffs = ref.coeffs
                     for method in closed:
                         got = sylvester._coefficients(b, method)
                         assert got == (coeffs, ref.differences), (sig, method)
+                        assert list(map(type, got[0])) == list(map(type, coeffs))
 
     def test_d_and_f_are_those_of_the_recursion(self, rng):
         for sig in all_signatures(5):
@@ -496,6 +498,36 @@ class TestClosedFormsAreTheRecursion:
         monkeypatch.setattr(Multivector, "__mul__", counted)
         solve(prob, method=method)
         assert calls[0] <= most
+
+
+    @pytest.mark.parametrize("method, dense, sparse", [
+        ("closed_n4_v1", 18, 0), ("closed_n4_v2", 18, 0), ("closed_n5", 19, 6),
+    ])
+    def test_no_product_by_the_identity_or_for_a_coefficient(
+        self, rng, monkeypatch, method, dense, sparse
+    ):
+        # The closed forms take their coefficients from central parts of
+        # products and scale by them at even n, and multiply neither A
+        # nor C by the identity: dense products (nnz nnz >= 4**n / 5)
+        # and sparse ones of one dense solve, the residual check included.
+        sig = Signature(2, 3 if method == "closed_n5" else 2)
+        prob = SylvesterProblem(*(
+            Multivector(sig, [rng.choice((-3, -2, -1, 1, 2, 3))
+                              for _ in range(sig.ncoeffs)])
+            for _ in range(3)
+        ))
+        counts = Counter()
+        mul = Multivector.__mul__
+
+        def counted(u, v):
+            if isinstance(v, Multivector):
+                pairs = (len(u._num) - u._num.count(0)) * (len(v._num) - v._num.count(0))
+                counts[pairs * 5 >= sig.ncoeffs ** 2] += 1
+            return mul(u, v)
+
+        monkeypatch.setattr(Multivector, "__mul__", counted)
+        solve(prob, method=method)
+        assert (counts[True], counts[False]) == (dense, sparse)
 
 
 class TestRegressionFixtures:
@@ -746,6 +778,41 @@ class TestFloatMode:
             with pytest.raises(NumericalDegradationError, match="overflows") as info:
                 solve(prob, method=method)
             assert "nan" not in str(info.value)
+
+    # Closed forms on dense operands whose scalar parts dominate, uniform
+    # (-1, 1) elsewhere, against the exact solve of the same floats.  The
+    # largest relative forward error max|X - X_exact| / max|X_exact| was
+    # 1.2e-15 (closed_n5) when this bound was set.
+    FORWARD_TOL = 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_closed_forms_stay_near_the_exact_answer(self, n):
+        rng = random.Random(n)
+
+        def dominant(sig, sign):
+            coeffs = [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)]
+            # Left to right: sum() compensates from CPython 3.12 on.
+            rest = reduce(add, map(abs, coeffs[1:]), 0.0)
+            coeffs[0] = sign * (1 + abs(rng.uniform(-1, 1)) + rest)
+            return Multivector(sig, coeffs, FLOAT64)
+
+        closed = [m for m in _methods_for(n) if m.startswith("closed_")]
+        for sig in all_signatures(n, n):
+            for _ in range(4):
+                prob = SylvesterProblem(
+                    dominant(sig, 1), dominant(sig, -1),
+                    Multivector(sig, [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)], FLOAT64),
+                )
+                exact = solve(SylvesterProblem(*(
+                    Multivector(sig, list(map(Fraction, u.coeffs)))
+                    for u in (prob.a, prob.b, prob.c)
+                ))).x.coeffs
+                scale = max(map(abs, exact))
+                for method in closed:
+                    sol = solve(prob, method=method)
+                    error = max(abs(Fraction(x) - e) for x, e in zip(sol.x.coeffs, exact))
+                    assert not sol.low_confidence
+                    assert error <= self.FORWARD_TOL * scale, (sig, method)
 
     def test_float_singular_detection(self):
         sig = Signature(1, 2)
