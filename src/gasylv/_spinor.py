@@ -53,7 +53,12 @@ integers: SpinorMatrix.of refuses an element with a denominator (enter
 scales one first), and the preimage of an image divides by N, a power
 of two that divides every sum, by a shift.  Float entries are floats,
 summed in one order on every interpreter (_total, and the transform's
-fixed butterflies), and the preimage divides by N.
+fixed butterflies), and the preimage divides by N.  For exact matrices,
+power_traces reads the traces of a matrix's powers off the baby and
+giant steps of Paterson and Stockmeyer, polynomial_at evaluates a
+polynomial with central coefficients on the baby steps, and combination
+sums central multiples of matrices in one pass per block: what the
+exact solves use in place of Faddeev-LeVerrier.
 
 In floats the imaginary part of a preimage is rounding, so it is
 dropped; the exact ring requires it to vanish.  The norms that float
@@ -67,8 +72,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
-from operator import add, itemgetter, neg, sub
+from math import isqrt, lcm
+from operator import add, itemgetter, mul, neg, sub
 
 from .algebra import FLOAT64, RATIONAL, _build, _require_finite, _times, _value
 from .errors import InternalError
@@ -78,13 +83,14 @@ from .errors import InternalError
 # random blades in A and B: at n = 6..8 the blade loop won up to 5x with
 # nnz = 5 or 7 and the matrices won 1.2-6.5x with nnz = 11.  At n = 5
 # the time of closed_n5 on blades over that of general_odd on the
-# matrices, ints / k/d, median of 5, was with the blade product of
-# algebra._image_line 1.31 / 1.48 dense and 1.16 / 1.28 at nnz = 8 in
-# the real Cl(3,2), 0.84-0.91 / 1.00-1.03 and 0.84-0.90 / 0.93-0.95 in
-# Cl(2,3), Cl(4,1) and Cl(0,5), and 0.72-0.81 and 0.65-0.69 in the two
-# H + H algebras Cl(1,4) and Cl(5,0).  The rule has not moved with it.
-# f64 stays at n = 6, where tests/fixtures/float_golden.json pins the
-# n = 5 answers of both recursions bit for bit.
+# matrices, with B's coefficients from traces, ints / k/d, median of 5,
+# two sweeps, was 1.61-1.65 / 1.75-1.77 dense and 1.46-1.47 / 1.58-1.59
+# at nnz = 8 in the real Cl(3,2), 1.02-1.05 / 1.10-1.14 and 0.92-1.07
+# in Cl(2,3), Cl(4,1) and Cl(0,5), and 0.84-0.93 and 0.76-0.83 in the
+# two H + H algebras Cl(1,4) and Cl(5,0), whose images are complex.
+# The rule stays: the matrices lose only there.  f64 stays at n = 6,
+# where tests/fixtures/float_golden.json pins the n = 5 answers of both
+# recursions bit for bit.
 MIN_DIM = {RATIONAL: 5, FLOAT64: 6}
 MIN_PAIRS = 64
 
@@ -838,3 +844,148 @@ class SpinorMatrix:
             max(map(abs, part))
             for block in rest.blocks for part in block if part is not None
         )
+
+
+# -- exact polynomials in a matrix ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _linear(count):
+    """The entrywise sum of count lists, each times a number, generated
+    once per count: [c0 * x0 + c1 * x1 + ... for each entry], one pass.
+    A plain comprehension, sum(map(mul, numbers, entries)) per entry,
+    made combination 1.4-1.7x as slow on the powers at n = 5..9."""
+    numbers = ", ".join(f"c{k}" for k in range(count))
+    lists = ", ".join(f"l{k}" for k in range(count))
+    entries = ", ".join(f"x{k}" for k in range(count))
+    terms = " + ".join(f"c{k} * x{k}" for k in range(count))
+    code = (
+        f"def linear({numbers}, {lists}):\n"
+        f"    return [{terms} for {entries}, in zip({lists})]\n"
+    )
+    namespace = {}
+    exec(code, namespace)
+    return namespace["linear"]
+
+
+def combination(matrices, columns):
+    """sum_k T_k M_k for exact matrices M_k and the central T_k whose
+    block values are columns[k] (one value stands for every block): per
+    block and part one pass over the entries (_linear), with the central
+    M_k on the diagonal, in place of a scaled matrix and a sum per term."""
+    first = matrices[0]
+    rep = first.rep
+    area = rep.size * rep.size
+    blocks = []
+    for index in range(rep.count):
+        parts = ([], [])  # (number, list) pairs of the real and imaginary part
+        diagonal = 0
+        for u, values in zip(matrices, columns):
+            z = values[index if len(values) > 1 else 0]
+            if not z:
+                continue
+            if u.center is not None:
+                diagonal = z * u.center[index] + diagonal
+                continue
+            ur, ui = u.blocks[index]
+            zr, zi = z.real, z.imag
+            if zr:
+                parts[0].append((zr, ur))
+                if ui is not None:
+                    parts[1].append((zr, ui))
+            if zi:
+                parts[1].append((zi, ur))
+                if ui is not None:
+                    parts[0].append((-zi, ui))
+        re, im = (
+            _linear(len(terms))(*(z for z, _ in terms), *(x for _, x in terms))
+            if terms else None
+            for terms in parts
+        )
+        if diagonal:
+            dr, di = diagonal.real, diagonal.imag
+            re = re or [0] * area
+            if di:
+                im = im or [0] * area
+            for p in rep.positions[0]:
+                re[p] += dr
+                if di:
+                    im[p] += di
+        blocks.append((re or [0] * area, im))
+    return first._like(tuple(blocks))
+
+
+@lru_cache(maxsize=None)
+def _transpose(s):
+    """The getter of the transpose of a flat s x s matrix."""
+    return _getter([c * s + r for r in range(s) for c in range(s)])
+
+
+def _block_trace(u, v):
+    """tr(U V) of two Gaussian blocks, v given transposed: the entrywise
+    inner products Re = ur.vr - ui.vi, Im = ur.vi + ui.vr."""
+    (ur, ui), (vr, vi) = u, v
+    re, im = sum(map(mul, ur, vr)), 0
+    if ui is not None and vi is not None:
+        re -= sum(map(mul, ui, vi))
+    if vi is not None:
+        im += sum(map(mul, ur, vi))
+    if ui is not None:
+        im += sum(map(mul, ui, vr))
+    return _exact(_Gaussian(re, im))
+
+
+def power_traces(b, length):
+    """(traces, babies) of an exact matrix b: for k = 1..length the traces
+    tr(B**k) of its blocks, and the baby steps of Paterson and Stockmeyer
+    (SIAM J. Comput. 1973) they were read from, for polynomial_at.  With
+    m = ceil(sqrt(length)), the baby steps are B**0..B**m and the giant
+    steps B**(j m), j <= J = (length - 1) // m: m - 1 products, and J - 1
+    more.  tr(B**k) with k = j m + i, 1 <= i <= m, is the diagonal sum
+    of B**i where j = 0, else the entrywise inner product of B**(j m)
+    with the transpose of B**i: O(s**2) per block, in the Gaussian form
+    where blocks are complex."""
+    m = isqrt(length - 1) + 1
+    babies = [SpinorMatrix.scalar(b.sig, 1, b.ring), b]
+    while len(babies) <= m:
+        babies.append(babies[-1] * b)
+    giants = [babies[0], babies[m]]
+    while len(giants) <= (length - 1) // m:
+        giants.append(giants[-1] * babies[m])
+    diagonal = _getter(b.rep.positions[0])
+    transpose = _transpose(b.rep.size)
+    transposed = {}
+    traces = []
+    for k in range(1, length + 1):
+        j, i = divmod(k - 1, m)
+        baby = babies[i + 1]
+        if not j:
+            traces.append(tuple(
+                _exact(_Gaussian(sum(diagonal(re)), 0 if im is None else sum(diagonal(im))))
+                for re, im in baby.blocks
+            ))
+            continue
+        if i not in transposed:
+            transposed[i] = [
+                (transpose(re), None if im is None else transpose(im))
+                for re, im in baby.blocks
+            ]
+        traces.append(tuple(map(_block_trace, giants[j].blocks, transposed[i])))
+    return traces, babies
+
+
+def polynomial_at(babies, columns):
+    """sum_k T_k B**k for the central T_k whose block values are
+    columns[k], from the baby steps B**0..B**m of power_traces, by
+    Paterson and Stockmeyer: with q_j(B) = sum_(i=1..m) T_(j m + i) B**i
+    for j >= 1, and q_0 from T_0 too, each one combination of baby steps,
+    Horner's rule in B**m, (q_J B**m + q_(J-1)) B**m + ... + q_0, takes J
+    products, each with the small entries of B**m as one factor."""
+    m = len(babies) - 1
+    top = (len(columns) - 2) // m
+    out = None
+    for j in range(top, 0, -1):
+        part = combination(babies[1:], columns[j * m + 1:(j + 1) * m + 1])
+        out = part if out is None else out * babies[m] + part
+    low = combination(babies, columns[:m + 1])
+    return low if out is None else out * babies[m] + low

@@ -290,7 +290,9 @@ class Multivector:
         return 0.0 if self.ring == FLOAT64 else 0
 
     def _check_compat(self, other):
-        if self.sig != other.sig:
+        # Operands nearly always share one Signature object; the value
+        # comparison runs only for distinct ones.
+        if self.sig is not other.sig and self.sig != other.sig:
             raise SignatureMismatchError(
                 f"{self.sig!r} does not match {other.sig!r}"
             )

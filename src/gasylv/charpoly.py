@@ -15,13 +15,15 @@ and differences go back to blades when first read.  Closed-form
 determinant expressions for n <= 5 serve as cross-check oracles; the
 closed adjugates they multiply are also those of the closed-form solvers.
 
-The exact solvers on spinor matrices invert D = phi_B(A) with none of
-this: Newton's identities give a characteristic polynomial from the
-traces of powers, and one subresultant remainder sequence gives the
-resultant of two polynomials and its cofactor (_resultant).  Both name
-no number type: they run on the block values of _spinor, integers, or
-for the one complex block of M(N/2, C) Gaussian integers
-(_spinor._Gaussian).
+The exact solvers on spinor matrices run none of this.  Newton's
+identities give a characteristic polynomial from the traces of powers
+(_trace_coeffs, from the baby and giant steps of Paterson and Stockmeyer
+in _spinor.power_traces), and one subresultant remainder sequence gives
+the resultant of two polynomials and its cofactor (_resultant).  Both
+name no number type: they run on the block values of _spinor,
+integers, or for the one complex block of M(N/2, C) Gaussian integers
+(_spinor._Gaussian).  The public functions keep the recursion on every
+kernel.
 """
 
 from __future__ import annotations
@@ -195,6 +197,27 @@ def char_poly(b):
     return _public(_char_poly(m), s)
 
 
+def _trace_coeffs(b, central=False):
+    """(coeffs, babies) of the exact matrix b: its L coefficients c_(k),
+    from the power sums of _spinor.power_traces by Newton's identities,
+    and the baby steps they were read from.  The char poly (L = N) has plain
+    numbers b_(k), its power sums N times the scalar parts of the powers:
+    the sums of the block traces, twice the real part of the one trace
+    where M(N/2, C) keeps one block.  The central coefficients (odd n,
+    L = N/2) are per block those of the block's own char poly."""
+    degree = b.sig.charpoly_degree
+    length = degree // 2 if central else degree
+    traces, babies = _spinor.power_traces(b, length)
+    if central:
+        polys = [_newton(block) for block in zip(*traces)]
+        coeffs = [b.central([-p[length - k] for p in polys]) for k in range(1, length + 1)]
+    else:
+        share = degree // b.rep.degree
+        poly = _newton([share * sum(t.real for t in block) for block in traces])
+        coeffs = [-poly[length - k] for k in range(1, length + 1)]
+    return tuple(coeffs), babies
+
+
 def determinant(b):
     (m,), s = _spinor.enter([b])
     return _blades(_char_poly(m).determinant(), s ** b.sig.charpoly_degree)
@@ -267,11 +290,18 @@ def _newton(sums):
     """The monic polynomial of degree L = len(sums), coefficients lowest
     degree first, whose L roots have the power sums p_1..p_L.  By Newton's
     identities its coefficient of lambda**(L-k) is
-    -(1/k) sum_(i=1..k) (that of lambda**(L-k+i)) p_i; each division is
-    exact when the p_k are the traces of the powers of an integer matrix."""
+    -(1/k) sum_(i=1..k) (that of lambda**(L-k+i)) p_i.  Each division is
+    exact when the p_k are the traces of the powers of an integer or
+    Gaussian-integer matrix; a remainder raises InternalError."""
     top = [1]
     for k in range(1, len(sums) + 1):
-        top.append(-sum(top[k - i] * sums[i - 1] for i in range(1, k + 1)) // k)
+        total = -sum(top[k - i] * sums[i - 1] for i in range(1, k + 1))
+        coeff = total // k
+        if coeff * k != total:
+            raise InternalError(
+                f"power sum {k} is not that of an integer matrix's powers"
+            )
+        top.append(coeff)
     return top[::-1]
 
 

@@ -2,17 +2,20 @@
 
 Every method runs one core (_solve).  It assembles D = phi_B(A), the
 characteristic polynomial of B evaluated at A, and a matching
-right-hand combination F with D X = F, from the coefficients c_(k) of
-a Faddeev-LeVerrier recursion on B and its differences
-B_(k) - c_(k); then it inverts D.  The general recursion takes all N
-coefficients of B, the odd-n one the N/2 generalized central ones.  The
-closed forms for n = 1..5 are that same recursion with its differences
-written as the paper's conjugation products of B; the coefficients
-follow from them.  The closed forms invert D by the closed adjugate of
-their dimension.  On exact spinor matrices the recursions invert D
-through the resultant of A's and B's characteristic polynomials, from
-the powers of A already assembled and with no product; in f64 and on
-blades, by D's own characteristic polynomial (see _adjugate).
+right-hand combination F with D X = F, from B's coefficients c_(k);
+then it inverts D.  The general recursion takes all N coefficients of
+B, the odd-n one the N/2 generalized central ones.  In f64 and on
+blades they come from a Faddeev-LeVerrier recursion on B, with its
+differences B_(k) - c_(k) for F.  The closed forms for n = 1..5 are
+that same recursion with its differences written as the paper's
+conjugation products of B; the coefficients follow from them.  On
+exact spinor matrices the coefficients come from the traces of B's
+powers by Newton's identities, and F from C's side (_BabySteps).  The
+closed forms invert D by the closed adjugate of their dimension.  On
+exact spinor matrices the recursions invert D through the resultant of
+A's and B's characteristic polynomials, from the powers of A already
+assembled and with no product; in f64 and on blades, by D's own
+characteristic polynomial (see _adjugate).
 One table states the n each method accepts; the default is
 the first method accepting n.  At odd n the full phi_B(A) can vanish on
 a problem that is not singular, so a zero Q from general is retried
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 from math import isfinite
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import _spinor
@@ -70,6 +73,7 @@ from .charpoly import (
     _newton,
     _OnFirstRead,
     _resultant,
+    _trace_coeffs,
     # Not called here; perfbench's tracer wraps them in this namespace.
     char_poly,  # noqa: F401
     generalized_coeffs,  # noqa: F401
@@ -143,41 +147,73 @@ def _powers(a, top):
     return pw[:top + 1]
 
 
-def _assemble_d(pw, coeffs):
-    """D = A**L - c_(1) A**(L-1) - ... - c_(L) for the L coefficients of
-    a recursion on B; a scalar c_(k) scales, a central one multiplies."""
-    length = len(coeffs)
-    d = pw[length]
-    for j, cj in enumerate(coeffs, start=1):
-        d = d - pw[length - j] * cj
-    return d
+class _Differences(tuple):
+    """B's side where Faddeev-LeVerrier or a closed form gives the
+    coefficients: the differences e_k = B_(k) - c_(k)."""
+
+    def d(self, pw, coeffs):
+        """D = A**L - c_(1) A**(L-1) - ... - c_(L): a scaling (scalar
+        c_(k)) or a product (central) per term."""
+        length = len(coeffs)
+        d = pw[length]
+        for j, cj in enumerate(coeffs, start=1):
+            d = d - pw[length - j] * cj
+        return d
+
+    def f(self, pw, c, coeffs):
+        """F = A**(L-1) C + sum_j (A**(L-j) C) e_(j-1), j = 2..L, with
+        A**0 C = C itself."""
+        length = len(coeffs)
+        ac = [c] + [u * c for u in pw[1:length]]
+        f = ac[length - 1]
+        for j, diff in enumerate(self, start=2):
+            f = f + ac[length - j] * diff
+        return f
 
 
-def _assemble_f(pw, c, differences):
-    """F = A**(L-1) C + sum_j A**(L-j) C (B_(j-1) - c_(j-1)), j = 2..L,
-    with A**0 C = C itself."""
-    length = len(differences) + 1
-    ac = [c] + [u * c for u in pw[1:length]]
-    f = ac[length - 1]
-    for j, diff in enumerate(differences, start=2):
-        f = f + ac[length - j] * diff
-    return f
+class _BabySteps(tuple):
+    """B's side on exact matrices: the baby steps B**0..B**m that the
+    coefficients were read from (_trace_coeffs), where phi_B(B) = 0 is
+    checked (_resultant_adjugate).  There are no differences."""
+
+    def d(self, pw, coeffs):
+        """D = A**L - c_(1) A**(L-1) - ... - c_(L) as one combination of
+        the powers."""
+        columns = [
+            tuple(-v for v in c.block_values()) if isinstance(c, _spinor.SpinorMatrix)
+            else (-c,)
+            for c in reversed(coeffs)
+        ]
+        return _spinor.combination(pw, columns + [(1,)])
+
+    def f(self, pw, c, coeffs):
+        """F = sum_j A**(L-j) C e_(j-1), j = 1..L, e_0 = 1, from C's side:
+        e_k is a polynomial in B, so Y_0 = C, Y_k = Y_(k-1) B - c_(k) C
+        is C e_k, and by Horner's rule F = A (... A (A Y_0 + Y_1) ...) +
+        Y_(L-1): each of the 2 (L - 1) products has B or A, with small
+        entries, as a factor."""
+        b = self[1]
+        y = f = c
+        for ck in coeffs[:-1]:
+            y = y * b - c * ck
+            f = pw[1] * f + y
+        return f
 
 
 def build_D_general(a, b):
     """D = A**N - b_(1) A**(N-1) - ... - b_(N) with the b_(k) taken from
     the characteristic polynomial of b, on the kernel of a and b."""
     (a, b), scale = _spinor.enter((a, b))
-    coeffs, _ = _coefficients(b, GENERAL)
-    return _blades(_assemble_d(_powers(a, len(coeffs)), coeffs), scale ** len(coeffs))
+    coeffs, side = _coefficients(b, GENERAL)
+    return _blades(side.d(_powers(a, len(coeffs)), coeffs), scale ** len(coeffs))
 
 
 def build_F_general(a, b, c):
     """F = sum_j A**(N-j) C (B_(j-1) - b_(j-1)); the j = 1 term is
     A**(N-1) C."""
     (a, b, c), scale = _spinor.enter((a, b, c))
-    coeffs, differences = _coefficients(b, GENERAL)
-    f = _assemble_f(_powers(a, len(differences)), c, differences)
+    coeffs, side = _coefficients(b, GENERAL)
+    f = side.f(_powers(a, len(coeffs) - 1), c, coeffs)
     return _blades(f, scale ** len(coeffs))
 
 
@@ -197,17 +233,29 @@ def _closed_differences(b, method):
     return (-(t1 + t2 + t3), t1 * (t2 + t3) + top, -(t1 * top))
 
 
+def _traced(b):
+    """Whether the recursions take b's coefficients from traces: on exact
+    matrices."""
+    return isinstance(b, _spinor.SpinorMatrix) and b.ring == RATIONAL
+
+
 def _coefficients(b, method):
-    """B's coefficients c_(k) and differences e_k = B_(k) - c_(k) for a
-    method, the c_(k) plain scalars at even n and central elements at
-    odd n.  The recursions run their Faddeev-LeVerrier recursion; a
-    closed form states its differences, and its coefficients follow from
-    the same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L).  As
-    c_(k) is central, it is the central part of B_(k) - e_k, and that of
-    B e_k takes no product (_center_of_product)."""
+    """(c, side): B's coefficients c_(k) for a method, plain scalars for
+    general and at even n and central elements otherwise, and B's side,
+    which assembles D and F (side.d, side.f).  On exact matrices the
+    recursions take the c_(k) from traces, and side is B's baby steps
+    (_BabySteps).  Elsewhere side is the differences e_k = B_(k) - c_(k)
+    (_Differences): the recursions run Faddeev-LeVerrier, and a closed
+    form states its differences, its coefficients following from the
+    same relation, B_(1) = B, B_(k+1) = B e_k, c_(L) = B_(L).  As c_(k)
+    is central, it is the central part of B_(k) - e_k, and that of B e_k
+    takes no product (_center_of_product)."""
     if method in _RECURSIONS:
+        if _traced(b):
+            coeffs, babies = _trace_coeffs(b, method == GENERAL_ODD)
+            return coeffs, _BabySteps(babies)
         data = _char_poly(b) if method == GENERAL else _generalized(b)
-        return data.coeffs, data.differences
+        return data.coeffs, _Differences(data.differences)
     differences = _closed_differences(b, method)
     iterates = [center_project(b)]
     iterates += [_center_of_product(b, diff) for diff in differences]
@@ -215,16 +263,17 @@ def _coefficients(b, method):
     coeffs.append(iterates[-1])
     if b.sig.dim % 2 == 0:
         coeffs = [u.scalar_part() for u in coeffs]
-    return tuple(coeffs), differences
+    return tuple(coeffs), _Differences(differences)
 
 
 class _Phi(NamedTuple):
     """D = phi_B(A) and what it was assembled from: the powers
-    A**0..A**L and B's L coefficients."""
+    A**0..A**L, B's L coefficients and B's side (_coefficients)."""
 
     d: object
     powers: list
     coeffs: tuple
+    side: tuple
 
 
 def _adjugate(phi, method):
@@ -245,14 +294,6 @@ def _adjugate(phi, method):
     return _resultant_adjugate(phi, method)
 
 
-def _sum_at_a(pw, columns):
-    """sum_k T_k pw[k] for the central T_k whose block values are
-    columns[k]: blockwise scalings and sums."""
-    return reduce(add, (
-        u * pw[0].central(values) for u, values in zip(pw, columns) if any(values)
-    ))
-
-
 def _resultant_adjugate(phi, method):
     """(Adj(D), Det(D)) for D = phi_B(A) on exact spinor matrices, with
     no recursion on D.  D is a polynomial in A, so Det(D) = Res(phi_A,
@@ -261,7 +302,9 @@ def _resultant_adjugate(phi, method):
     Appl. Math. 1968).  phi_A comes from the power sums tr(A**k) by
     Newton's identities, checked by phi_A(A) = 0 on the powers; Res and
     t from one subresultant remainder sequence of phi_A and phi_B -
-    phi_A.
+    phi_A.  A zero Res is a singular verdict only once phi_B(B) = 0 is
+    checked on B's baby steps; both sums over powers are one combination
+    (_spinor.combination, _spinor.polynomial_at).
 
     general takes the degree-N polynomials of A and B; a power sum is N
     times a scalar part.  general_odd takes them per block, for D's
@@ -279,13 +322,16 @@ def _resultant_adjugate(phi, method):
         sums = [[size * v for v in u.block_values()] for u in pw[1:]]
         b_values = [c.block_values() for c in coeffs]
     phi_a = [_newton(block) for block in zip(*sums)]
-    if not _sum_at_a(pw, list(zip(*phi_a))).is_zero():
+    if not _spinor.combination(pw, list(zip(*phi_a))).is_zero():
         raise InternalError("phi_A(A) is not zero: A's power sums are wrong")
     dets, cofactors = [], []
     for a, b in zip(phi_a, zip(*b_values)):
         # phi_B - phi_A, both monic of degree size: -b_(size-k) - a_k.
         res, t = _resultant(a, [-c - x for c, x in zip(b[::-1], a)])
         if not res:
+            phi_b = [tuple(-c for c in values) for values in b_values[::-1]]
+            if not _spinor.polynomial_at(phi.side, phi_b + [(1,)]).is_zero():
+                raise InternalError("phi_B(B) is not zero: B's power sums are wrong")
             return pw[0].scale(0), 0
         dets.append(res)
         cofactors.append(t + [0] * (size - len(t)))
@@ -294,7 +340,7 @@ def _resultant_adjugate(phi, method):
         dets.append(dets[0].conjugate())
     det = reduce(mul, dets)
     others = [det // d for d in dets]
-    adj = _sum_at_a(pw, [
+    adj = _spinor.combination(pw, [
         tuple(other * t[k] for other, t in zip(others, cofactors))
         for k in range(size)
     ])
@@ -398,13 +444,13 @@ def _solve(prob, method):
     (a, b, c), scale = _spinor.enter(
         (prob.a, prob.b, prob.c), method in _RECURSIONS
     )
-    coeffs, differences = _coefficients(b, method)
+    coeffs, side = _coefficients(b, method)
     pw = _powers(a, len(coeffs))
-    d = _assemble_d(pw, coeffs)
-    f = _assemble_f(pw, c, differences)
+    d = side.d(pw, coeffs)
+    f = side.f(pw, c, coeffs)
     if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
         raise NumericalDegradationError("D = phi_B(A) overflows")
-    adj, q = _adjugate(_Phi(d, pw, coeffs), method)
+    adj, q = _adjugate(_Phi(d, pw, coeffs, side), method)
     if d.ring == FLOAT64 and not isfinite(q):
         raise NumericalDegradationError("Q overflows")
     d_scale = scale ** len(coeffs)

@@ -141,15 +141,28 @@ class TestGeometricProduct:
         v = Multivector.scalar(Signature(2, 0), 1)
         with pytest.raises(SignatureMismatchError):
             u * v
+        with pytest.raises(SignatureMismatchError):
+            u - v
+
+    def test_equal_distinct_signatures_combine(self):
+        u = Multivector.from_terms(Signature(2, 1), {0: 1, 1: 2})
+        v = Multivector.from_terms(Signature(2, 1), {1: 3, 6: -1})
+        assert u.sig is not v.sig
+        # (1 + 2e1)(3e1 - e23) = 6 + 3e1 - e23 - 2e123
+        assert (u * v).coeffs == (6, 3, 0, 0, 0, 0, -1, -2)
+        assert (u + v).coeffs == (1, 5, 0, 0, 0, 0, -1, 0)
 
     def test_ring_mismatch(self):
         sig = Signature(1, 1)
         u = Multivector.scalar(sig, 1)
         v = Multivector.scalar(sig, 1.0, FLOAT64)
+        w = Multivector.scalar(Signature(1, 1), 1.0, FLOAT64)
         with pytest.raises(RingMismatchError):
             u * v
         with pytest.raises(RingMismatchError):
             u + v
+        with pytest.raises(RingMismatchError):
+            u * w
 
     def test_no_implicit_float_promotion(self):
         with pytest.raises(RingMismatchError):

@@ -384,3 +384,23 @@ class TestResultant:
         assert 10 // _Gaussian(1, 3) == _Gaussian(1, -3)
         # Power sums 2i and -2 are those of the double root i.
         assert _newton([_Gaussian(0, 2), _Gaussian(-2)]) == [_Gaussian(-1), _Gaussian(0, -2), 1]
+
+
+class TestNewton:
+    def test_power_sums_of_an_integer_matrix(self):
+        # [[1, 2], [3, 4]]: tr = 5, tr(M**2) = 29, char poly l**2 - 5l - 2.
+        assert _newton([5, 29]) == [-2, -5, 1]
+
+    @pytest.mark.parametrize("sums", [
+        [1, 2],
+        [0, 1],
+        [1, 1, 2],
+        [_Gaussian(0, 1), 0],
+        [_Gaussian(1, 1), 3],
+        [_Gaussian(0, 2), _Gaussian(-2), _Gaussian(0, 2)],
+    ], ids=["1,2", "0,1", "1,1,2", "i,0", "1+i,3", "2i,-2,2i"])
+    def test_power_sums_no_integer_matrix_has_are_refused(self, sums):
+        # p_1 = 0, p_2 = 1 would be a root pair with product -1/2; Newton's
+        # identities divide by k and must not floor a remainder away.
+        with pytest.raises(InternalError, match="not that of an integer matrix"):
+            _newton(sums)

@@ -33,7 +33,8 @@ from gasylv import (
     solve,
     verify_residual,
 )
-from gasylv import _spinor, sylvester
+from gasylv import _spinor, charpoly, sylvester
+from gasylv.charpoly import _char_poly, _generalized
 from gasylv._spinor import SpinorMatrix
 from gasylv.cli import main
 from conftest import (
@@ -943,3 +944,118 @@ def test_plain_uniform_float_problems_are_answered():
         sol = solve(prob)
         assert sol.method == sylvester.GENERAL
         assert sol.residual == verify_residual(prob, sol.x)
+
+
+# -- B's coefficients from traces -------------------------------------------------
+
+TRACE_SIGNATURES = all_signatures(9, 5)
+
+
+def _trace_kinds(sig):
+    """Ints and k/d up to n = 7; from n = 8, where one dense recursion
+    on the matrices takes up to a second, ints."""
+    return ("int",) if sig.dim >= 8 else ("int", "frac")
+
+
+def _dense_element(sig, rng, kind):
+    return _dense_problem(sig, rng, kind).a
+
+
+def _faddeev_leverrier_on_the_matrices(monkeypatch):
+    """Send exact matrices back to Faddeev-LeVerrier and the per-term
+    assembly of D and F: the route before traces, on the same kernel."""
+    monkeypatch.setattr(sylvester, "_traced", lambda b: False)
+
+
+def test_the_trace_signatures_cover_every_kind_of_block():
+    kinds = set()
+    for sig in TRACE_SIGNATURES:
+        rep = _spinor._representation(sig)
+        real = all(k % 2 == 0 for table in rep.blades for _, _, k in table)
+        kinds.add((rep.count, rep.onto, real))
+    assert kinds >= {(1, False, True), (1, False, False), (2, False, True),
+                     (2, False, False), (1, True, False)}
+
+
+@pytest.mark.parametrize("sig", TRACE_SIGNATURES, ids=repr)
+def test_trace_coefficients_are_those_of_the_recursions(sig, rng):
+    for kind in ("int", "frac"):
+        (m,), _ = _spinor.enter([_dense_element(sig, rng, kind)])
+        assert isinstance(m, SpinorMatrix)
+        coeffs, babies = charpoly._trace_coeffs(m)
+        assert coeffs == _char_poly(m).coeffs
+        assert all(type(c) is int for c in coeffs)
+        # Baby steps B**0..B**m, m = ceil(sqrt(N)).
+        step = len(babies) - 1
+        assert step * step >= sig.charpoly_degree > (step - 1) * (step - 1)
+        assert (babies[step] - m * babies[step - 1]).is_zero()
+        if sig.dim % 2:
+            central, _ = charpoly._trace_coeffs(m, central=True)
+            assert [c.block_values() for c in central] == [
+                c.block_values() for c in _generalized(m).coeffs
+            ]
+
+
+@pytest.mark.parametrize("sig", TRACE_SIGNATURES, ids=repr)
+def test_a_singular_problem_on_the_traces_is_refused(sig, rng):
+    # B = A: phi_B(A) = 0, and B's polynomial passes phi_B(B) = 0.  At
+    # n = 9 the default general_odd runs, on ints.
+    methods = sylvester._methods_for(sig.dim)[:1]
+    if sig.dim < 9:
+        methods.append(sylvester.GENERAL)
+    for kind in _trace_kinds(sig):
+        prob = _dense_problem(sig, rng, kind)
+        singular = SylvesterProblem(prob.a, prob.a, prob.c)
+        assert _spinor.pays_off(singular.a, singular.b)
+        for method in methods:
+            with pytest.raises(SingularProblemError) as refusal:
+                solve(singular, method)
+            assert refusal.value.q == 0
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(3, 2), Signature(1, 4), Signature(0, 5), Signature(3, 3),
+    Signature(2, 4), Signature(4, 3), Signature(3, 4),
+], ids=repr)
+def test_a_wrong_phi_b_is_an_internal_error(sig, rng, monkeypatch):
+    # With A's coefficients given as B's, Res(phi_A, phi_B) = 0; the
+    # check phi_B(B) = 0 on B's baby steps refuses it as an internal error,
+    # where a singular verdict would be a wrong answer.
+    prob = _dense_problem(sig, rng, "int")
+    (a, _, _), _ = _spinor.enter((prob.a, prob.b, prob.c))
+    trace_coeffs = sylvester._trace_coeffs
+
+    def wrong(b, central=False):
+        return trace_coeffs(a, central)[0], trace_coeffs(b, central)[1]
+
+    monkeypatch.setattr(sylvester, "_trace_coeffs", wrong)
+    for method in [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2):
+        with pytest.raises(InternalError, match="phi_B"):
+            sylvester._solve(prob, method)
+
+
+@pytest.mark.parametrize("sig", TRACE_SIGNATURES, ids=repr)
+def test_d_and_f_on_the_traces_are_unchanged(sig, rng, monkeypatch):
+    # build_D_general and build_F_general, and up to n = 7 every
+    # recursion's solve, give what Faddeev-LeVerrier and the per-term
+    # assembly give on the same matrices.
+    probs = [_dense_problem(sig, rng, kind) for kind in _trace_kinds(sig)]
+    methods = [sylvester.GENERAL] + [sylvester.GENERAL_ODD] * (sig.dim % 2)
+    if sig.dim > 7:
+        methods = []
+
+    def values():
+        out = []
+        for prob in probs:
+            out.append(build_D_general(prob.a, prob.b))
+            out.append(build_F_general(prob.a, prob.b, prob.c))
+            for method in methods:
+                try:
+                    out.append(_fields(sylvester._solve(prob, method)))
+                except SingularProblemError as exc:
+                    out.append((exc.q, exc.d))
+        return out
+
+    traced = values()
+    _faddeev_leverrier_on_the_matrices(monkeypatch)
+    assert values() == traced
