@@ -34,9 +34,11 @@ identity exactly where every image is real, and there is none where
 one complex block is kept (onto).  For an image W, row r ^ x_J of W
 is then row r conjugated, up to signs, so Re tr(e_A**-1 W) is twice the
 sum over the rows without x_J's top bit.  product_source generates
-from the tables the exact dense product of two elements at n = 4 and
-5 (algebra._image_line): their images, half the rows of each product
-block where x_J is not 0, and the blades read back by one shift.
+from the tables the dense product of two elements at n = 4 and 5 in
+either ring (algebra._image_line): their images, half the rows of each
+product block where x_J is not 0, and the blades read back by one shift
+of the exact sums, or in f64 one multiplication of the rounded sums by
+an exact power of two.
 
 SpinorMatrix offers what the Faddeev-LeVerrier recursion and the D and F
 assembly use of a Multivector: products, sums and scaling, the scalar
@@ -88,9 +90,10 @@ from .errors import InternalError
 # at nnz = 8 in the real Cl(3,2), 1.02-1.05 / 1.10-1.14 and 0.92-1.07
 # in Cl(2,3), Cl(4,1) and Cl(0,5), and 0.84-0.93 and 0.76-0.83 in the
 # two H + H algebras Cl(1,4) and Cl(5,0), whose images are complex.
-# The rule stays: the matrices lose only there.  f64 stays at n = 6,
-# where tests/fixtures/float_golden.json pins the n = 5 answers of both
-# recursions bit for bit.
+# The rule stays: the matrices lose only there.  f64 stays at n = 6:
+# its n = 5 recursions run on blades, where dense products take the
+# image kernel of algebra._image_line, not these matrices, and
+# tests/fixtures/float_golden.json pins their answers bit for bit.
 MIN_DIM = {RATIONAL: 5, FLOAT64: 6}
 MIN_PAIRS = 64
 
@@ -501,18 +504,22 @@ def _signed(terms):
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-def product_source(sig):
-    """The source of one function of the numerators of two integer
-    elements of sig to those of their product, through their images.
+def product_source(sig, ring):
+    """The source of one function of the numerators of two elements of
+    sig in ring to those of their product, through their images.
 
     It forms the image entries of u and v as signed sums of their
     numerators, multiplies the kept blocks, and reads coefficient A back
     as Re tr(e_A**-1 W) / N, as SpinorMatrix.multivector does, with one
-    shift for the division.  Where J (_Representation._conjugation)
-    moves rows, J W J**-1 = conj W makes the trace terms of rows r and
-    r ^ x_J conjugate: only the rows without x_J's top bit are formed,
-    each counted twice, and the shift is one less.  A real or imaginary
-    part that vanishes for every element is left out."""
+    division by a power of two: a shift of the exact integer sum in the
+    rational ring, and in f64 a multiplication by that power's float
+    literal, which is exact unless the result is subnormal.  Every sum
+    is written out, so floats are added left to right in source order
+    on every interpreter.  Where J (_Representation._conjugation) moves
+    rows, J W J**-1 = conj W makes the trace terms of rows r and r ^ x_J
+    conjugate: only the rows without x_J's top bit are formed, each
+    counted twice, and the power is one less.  A real or imaginary part
+    that vanishes for every element is left out."""
     rep = _representation(sig)
     s, j = rep.size, rep.conjugation
     # x_J's top bit; 0 where J moves no row, or there is no J.
@@ -566,8 +573,9 @@ def product_source(sig):
                         if k & 1 == part:
                             sign = ((k >> 1) + (r & z).bit_count()) & 1
                             readback[a].append((sign, product))
+    scaled = f">> {shift}" if ring == RATIONAL else f"* {2.0 ** -shift!r}"
     lines.append("return (" + "".join(
-        f"({_signed(terms)}) >> {shift}, " for terms in readback
+        f"({_signed(terms)}) {scaled}, " for terms in readback
     ) + ")")
     return "\n    ".join(lines)
 

@@ -13,12 +13,14 @@ but for _spinor.enter, which scales every recursion to integers.
 The geometric product is one loop over the nonzero coefficient pairs,
 with a sign mask per blade row, at every n.  Dense operands, with
 nnz(u) nnz(v) >= 4**n / 5, run a straight-line function generated once
-per signature: at n = 4 and 5 in the rational ring, from the verified
-spinor tables of _spinor, which multiplies the operands' matrix images
-(64 products in place of 256 in Cl(2,2)) and reads the blades back
-exactly; at n = 5 in f64, from the same masks as the loop, adding the
-same terms in the same order.  The central part of a product, which the
-closed forms' coefficients need, takes O(2**n) (_center_of_product).
+per signature and ring from the verified spinor tables of _spinor, at
+n = 4 and 5 in the rational ring and n = 5 in f64: it multiplies the
+operands' matrix images (64 products in place of 256 in Cl(2,2)) and
+reads the blades back, exactly by a shift in the rational ring and in
+f64 by a multiplication by an exact power of two, so f64 results are
+the image sums rounded left to right, not the loop's.  The central part
+of a product, which the closed forms' coefficients need, takes O(2**n)
+(_center_of_product).
 """
 
 from __future__ import annotations
@@ -105,15 +107,15 @@ def _sign_masks(n, p):
 
 
 # Products in a ring at an n listed for it, with nnz(u) nnz(v) >= 4**n / 5
-# nonzero coefficient pairs, run a generated function: _image_line in the
-# rational ring and _straight_line in f64.  All others run the mask loop
-# in Multivector.__mul__.  Per product, 2-core x86-64, CPython 3.11, best
-# of 5, noisy to about 30 %:
-# - rational, dense: _image_line against the blade _straight_line it
-#   replaced, with ints in [-3,3] / [-300,300] / [-10**40,10**40]: at
-#   n = 4, Cl(2,2) 4.6-7.3 -> 3.1-4.6 us, 1.6x / 2.0-2.1x / 2.1-2.3x,
-#   and the four signatures with complex images 1.2-1.4x / 1.6-2.0x /
-#   1.2-1.8x; at n = 5, 18-22 -> 8-11 us, 1.8-2.3x / 2.4-3.1x / 2.0-3.1x.
+# nonzero coefficient pairs, run the generated _image_line of the ring.
+# All others run the mask loop in Multivector.__mul__.  Per product,
+# 2-core x86-64, CPython 3.11, best of 5, noisy to about 30 %:
+# - rational, dense: _image_line against the blade straight-line function
+#   it replaced (the 4**n terms unrolled in the loop's order), with ints
+#   in [-3,3] / [-300,300] / [-10**40,10**40]: at n = 4, Cl(2,2)
+#   4.6-7.3 -> 3.1-4.6 us, 1.6x / 2.0-2.1x / 2.1-2.3x, and the four
+#   signatures with complex images 1.2-1.4x / 1.6-2.0x / 1.2-1.8x; at
+#   n = 5, 18-22 -> 8-11 us, 1.8-2.3x / 2.4-3.1x / 2.0-3.1x.
 # - rational crossover: with A and B of k random blades, ints or k/d,
 #   |k|, d <= 7, _image_line took 3.5-10 us at any density at n = 4,
 #   and the loop 4.6-8 us at 16 pairs, 7-13 at 49 and 26-44 at 256.  At
@@ -122,57 +124,31 @@ def _sign_masks(n, p):
 #   keeps its line at 52 and 205 pairs: a lower one moves sparse
 #   products (the CLI's literals) onto the kernel, and wants its own
 #   paired runs.
-# - f64, n = 5: the generated function took 13-17 us and the loop
-#   0.06-0.08 us per pair, so the loop won below about 250 pairs.
+# - f64, n = 5, dense, all six signatures: _image_line 9.1-10.6 us
+#   against 24.2-25.7 us for the blade straight-line function it
+#   replaced; the loop took 0.06-0.08 us per pair, so it wins below
+#   about 110-180 pairs, under the rule's 205.  The kernel's error
+#   against the exact product of the same floats was 2.4-3.5e-16 of the
+#   largest coefficient.
 # f64 stops at n = 5.  The n = 4 kernel speeds f64 solves up too, but
 # perfbench/run.py keeps one record per op, so its peak RSS grows with
-# ops/s past that metric's bound; enabling it is one entry, 4, below.
-# Dense exact n = 5 solves and public recursions run on the spinor
-# matrices, but the rational 5 serves an explicit closed_n5,
-# closed_form_det and the dense intermediate products of sparse
-# closed_n5 solves.
+# ops/s past that metric's bound (ROADMAP item 7); enabling it is one
+# entry, 4, below.  Dense exact n = 5 solves and public recursions run
+# on the spinor matrices, but the rational 5 serves an explicit
+# closed_n5, closed_form_det and the dense intermediate products of
+# sparse closed_n5 solves.
 _STRAIGHT_LINE_DIMS = {RATIONAL: (4, 5), FLOAT64: (5,)}
 
 
 @lru_cache(maxsize=None)
-def _straight_line(n, p):
-    """The product of two elements of Cl(p, n-p), unrolled from
-    _sign_masks(n, p): a function of (u, v, zero) on their numerators,
-    which f64 products run at n = 5.
-
-    Output k is zero ± u_a v_(a^k) summed in ascending a, the order of
-    the mask loop, so float results round as the loop's do wherever no
-    coefficient is infinite or NaN.
-    """
-    masks = _sign_masks(n, p)
-    blades = range(1 << n)
-
-    def term(a, b):
-        return f"{'-' if (b & masks[a]).bit_count() & 1 else '+'} u{a} * v{b}"
-
-    source = "\n    ".join([
-        "def product(u, v, z):",
-        "".join(f"u{a}, " for a in blades) + "= u",
-        "".join(f"v{b}, " for b in blades) + "= v",
-        "return (" + "".join(
-            " ".join(["z"] + [term(a, a ^ k) for a in blades]) + ", "
-            for k in blades
-        ) + ")",
-    ])
-    namespace = {}
-    exec(compile(source, f"<product Cl({p},{n - p})>", "exec"), namespace)
-    return namespace["product"]
-
-
-@lru_cache(maxsize=None)
-def _image_line(n, p):
-    """The product of two integer elements of Cl(p, n-p) through their
+def _image_line(n, p, ring=RATIONAL):
+    """The product of two elements of Cl(p, n-p) in ring through their
     spinor images: a function of (u, v) on their numerators, generated
     from the verified tables of _spinor (product_source)."""
     from ._spinor import product_source  # _spinor imports this module
 
     namespace = {}
-    source = product_source(Signature(p, n - p))
+    source = product_source(Signature(p, n - p), ring)
     exec(compile(source, f"<image product Cl({p},{n - p})>", "exec"), namespace)
     return namespace["product"]
 
@@ -365,10 +341,7 @@ class Multivector:
             and (len(u) - u.count(0)) * (len(v) - v.count(0)) * 5 >= 1 << 2 * n
             and (self.ring == RATIONAL or isfinite(sum(u) + sum(v)))
         ):
-            if self.ring == RATIONAL:
-                out = _image_line(n, self.sig.p)(u, v)
-            else:
-                out = _straight_line(n, self.sig.p)(u, v, 0.0)
+            out = _image_line(n, self.sig.p, self.ring)(u, v)
             return _build(self.sig, self.ring, out, self._den * other._den)
         out = [self._zero()] * (1 << n)
         # e_a e_b = -e_(a^b) exactly when b & masks[a] has odd popcount.
@@ -538,8 +511,8 @@ def center_project(u):
 def _center_of_product(u, v):
     """center_project(u * v) in O(2**n) products: its scalar part sums
     +-u_a v_a, and at odd n its pseudoscalar part +-u_a v_(a ^ I), over
-    the nonzero u_a in ascending a, the order in which the product sums
-    them, so f64 values round as the product's on every interpreter."""
+    the nonzero u_a in ascending a, the order in which the mask loop sums
+    them, so f64 values round as the loop's on every interpreter."""
     n = u.sig.dim
     v_num, zero = v._num, u._zero()
     masks = _sign_masks(n, u.sig.p)

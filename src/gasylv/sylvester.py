@@ -36,9 +36,9 @@ back to blades when the solution's fields are first read.
 In f64 the kernels differ by rounding, and the residual check judges
 either answer on the blades, where the flag is defined.
 
-A float answer is flagged low_confidence when its residual is not
-finite or not within RESIDUAL_TOL * (1 + |A||X| + |X||B|) in the max
-norm.  A float D or Q that overflows is refused with
+A float answer is flagged low_confidence when X or its residual is not
+finite, or the residual is not within RESIDUAL_TOL * (1 + |A||X| +
+|X||B|) in the max norm.  A float D or Q that overflows is refused with
 NumericalDegradationError, under every method.
 """
 
@@ -414,8 +414,9 @@ def _exact_x(a, b, c, m, q, method):
 
 def _float_x(prob, m, q):
     """(X, residual, low_confidence) for X = M / Q in f64, checked by
-    substitution on the blades: X is flagged when its residual is above
-    its bound or not finite."""
+    substitution on the blades: X is flagged when it or its residual is
+    not finite, or the residual is above its bound.  The max norm skips
+    a NaN that is not first, so X's own coefficients are tested."""
     x = m / q
     residual = verify_residual(prob, x)
     norm_x = x.max_abs_coeff()
@@ -425,13 +426,15 @@ def _float_x(prob, m, q):
         + norm_x * prob.b.max_abs_coeff()
     )
     # The bound itself can overflow to inf; an inf residual still fails.
-    return x, residual, not (isfinite(residual) and residual <= bound)
+    confident = isfinite(residual) and residual <= bound and all(map(isfinite, x.coeffs))
+    return x, residual, not confident
 
 
 def _solve(prob, method):
     """The one core of every method: D = phi_B(A) and F from B's
     coefficients and differences, M = Adj(D) F and Q, checked and
-    divided once.  An f64 D or Q that overflows is refused.
+    divided once.  An f64 D or Q that overflows is refused, and F is
+    assembled only once Q is known not to be zero.
 
     A, B and C enter times the lcm L of their denominators (_spinor.enter).
     D and F, of degree len(coeffs), leave divided by L to that degree,
@@ -447,7 +450,6 @@ def _solve(prob, method):
     coeffs, side = _coefficients(b, method)
     pw = _powers(a, len(coeffs))
     d = side.d(pw, coeffs)
-    f = side.f(pw, c, coeffs)
     if d.ring == FLOAT64 and not all(map(isfinite, d.coeffs)):
         raise NumericalDegradationError("D = phi_B(A) overflows")
     adj, q = _adjugate(_Phi(d, pw, coeffs, side), method)
@@ -458,6 +460,8 @@ def _solve(prob, method):
     # The zero test reads D only in f64, where d_scale is 1.
     if is_zero_scalar(q_out, d):
         raise SingularProblemError(q_out, _blades(d, d_scale))
+    # F after the zero test: a singular verdict reads no F.
+    f = side.f(pw, c, coeffs)
     m = adj * f
     if prob.ring == RATIONAL:
         x, residual, low_confidence = _exact_x(a, b, c, m, q, method), 0, False

@@ -212,11 +212,36 @@ def _hex(u):
     return [c.hex() for c in u.coeffs]
 
 
+def _exact(u):
+    """u as a rational element of the same floats."""
+    return Multivector(u.sig, list(map(Fraction, u.coeffs)))
+
+
+# The bound |w_A - (uv)_A| <= C_BOUND 2**-53 |u|_1 |v|_1 + D_BOUND 2**-1074
+# on each coefficient A of a dense f64 product w at n = 5 (derived in
+# test_float_results_round_as_the_loop).
+C_BOUND, D_BOUND = 30, 5
+
+
+def _outside_the_bound(u, v, w):
+    """The blades A where w_A is not finite or not within the bound of
+    the exact (uv)_A."""
+    u, v = _exact(u), _exact(v)
+    exact = (u * v).coeffs
+    norms = sum(map(abs, u.coeffs)) * sum(map(abs, v.coeffs))
+    bound = Fraction(C_BOUND, 2**53) * norms + Fraction(D_BOUND, 2**1074)
+    return [
+        a for a, (c, e) in enumerate(zip(w.coeffs, exact))
+        if not (math.isfinite(c) and abs(Fraction(c) - e) <= bound)
+    ]
+
+
 class TestStraightLineProduct:
-    """Dense products at n = 4 and 5 in the rational ring run a function
-    generated from the spinor tables, which must give the mask loop's
-    exact values; at n = 5 in f64 they run a function generated from the
-    sign masks, which must be the mask loop rounding for rounding."""
+    """Dense products at n = 4 and 5 in the rational ring, and at n = 5
+    in f64, run a function generated from the spinor tables: in the
+    rational ring it must give the mask loop's exact values, in f64 the
+    image sums rounded left to right, within a stated bound of the exact
+    product of the same floats."""
 
     @pytest.mark.parametrize("sig", N4_SIGNATURES + N5_SIGNATURES, ids=repr)
     def test_encoded_product_is_the_loop_term_for_term(self, sig, monkeypatch):
@@ -269,6 +294,36 @@ class TestStraightLineProduct:
 
     @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
     def test_float_results_round_as_the_loop(self, sig, rng, monkeypatch):
+        """A dense f64 product at n = 5 is the f64 image kernel's output,
+        bit for bit.  Where every sum is exact (integer values) it equals
+        the loop's; otherwise each coefficient w_A is within
+
+            |w_A - (uv)_A| <= 30 2**-53 |u|_1 |v|_1 + 5 2**-1074
+
+        of the exact product of the same floats (C_BOUND, D_BOUND).
+
+        The kernel (_spinor.product_source) takes 4 x 4 blocks: it forms
+        each image entry as a signed sum of at most 8 coefficients (32
+        blades over the 4 offsets r ^ c of a block), each entry of W = uv
+        as a sum of at most 8 products of entries (Re W_rc = sum over i
+        of Re U_ri Re V_ic - Im U_ri Im V_ic), and w_A as 2**-k times a
+        sum of the R <= 8 entries of W that its trace reads, with
+        R 2**-k = 1 (for uv = e_A each of the R terms read is 1).  So each
+        term u_a v_b passes at most 7 + 7 additions into the entries, 1
+        multiplication, 7 additions into W and 7 into w_A: 29 roundings,
+        and the computed w_A is the sum of the terms t_m, each times
+        (1 + theta_m) with |theta_m| <= 29 u / (1 - 29 u) < 30 u, u =
+        2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+        Lemma 3.1).  The terms of one entry of W pair each u_a with the
+        v_b of one offset, so they sum to at most |u|_1 |v|_1 in absolute
+        value, and times R 2**-k so do those of w_A: hence c = 30.  The
+        scaling by 2**-k is exact unless w_A is subnormal, and an
+        addition that underflows is exact; each of the at most 8 R
+        products of entries adds at most 2**-1075 when it underflows,
+        4 2**-1074 after the scaling, and the scaling at most 2**-1075
+        more: d = 5 covers both with the growth (1 + 30 u).  Signed zeros
+        may differ from the loop's, whose sums start at +0.0.
+        """
         tiny = (5e-324, -5e-324, 2.5e-310, -1e-308, 3e-300)
 
         def dense_uniform():
@@ -285,28 +340,58 @@ class TestStraightLineProduct:
             rng.shuffle(coeffs)
             return coeffs
 
+        kernel = algebra._image_line(5, sig.p, FLOAT64)
         for draw in (dense_uniform, integer_valued, zeros_and_subnormals):
             for _ in range(20):
                 u = Multivector(sig, draw(), FLOAT64)
                 v = Multivector(sig, draw(), FLOAT64)
-                kernel = algebra._straight_line(5, sig.p)(u._num, v._num, 0.0)
-                assert _hex(u * v) == [c.hex() for c in kernel]
-                assert _hex(u * v) == _hex(_loop_product(u, v, monkeypatch))
+                w = u * v
+                assert _hex(w) == [c.hex() for c in kernel(u._num, v._num)]
+                if draw is integer_valued:
+                    assert w.coeffs == _loop_product(u, v, monkeypatch).coeffs
+                    assert w.coeffs == (_exact(u) * _exact(v)).coeffs
+                else:
+                    assert _outside_the_bound(u, v, w) == []
+
+    @pytest.mark.parametrize("sig", N5_SIGNATURES, ids=repr)
+    def test_huge_float_operands_overflow_on_the_kernel_first(self, sig, rng, monkeypatch):
+        # The kernel multiplies image entries, each a sum of up to 8
+        # coefficients, and sums up to 8 such products per entry of W
+        # before the readback scales by 2**-k; the loop multiplies single
+        # coefficients.  So the kernel overflows first.  At 1e150 neither
+        # does; at 1e154 every term u_a v_b is finite, so the loop reaches
+        # inf only in a running sum and never NaN, while the products of
+        # entries reach inf of both signs and the kernel's sums NaN; at
+        # 1e300 every term is infinite on both.  A coefficient the kernel
+        # leaves finite met no overflow and is within the bound.
+        for scale in (1e150, 1e154, 1e300):
+            for _ in range(3):
+                u, v = (
+                    Multivector(sig, [scale * rng.uniform(-1, 1) for _ in range(32)], FLOAT64)
+                    for _ in range(2)
+                )
+                w, loop = u * v, _loop_product(u, v, monkeypatch)
+                overflows = {a for a, c in enumerate(w.coeffs) if not math.isfinite(c)}
+                loop_overflows = {a for a, c in enumerate(loop.coeffs) if not math.isfinite(c)}
+                assert set(_outside_the_bound(u, v, w)) == overflows
+                if scale == 1e150:
+                    assert overflows == loop_overflows == set()
+                elif scale == 1e154:
+                    assert not any(map(math.isnan, loop.coeffs))
+                    assert any(map(math.isnan, w.coeffs))
+                    assert loop_overflows < overflows
+                else:
+                    assert overflows == loop_overflows == set(range(32))
 
     def test_sparse_and_non_finite_operands_take_the_loop(self, rng, monkeypatch):
         calls = []
+        kernel = algebra._image_line
 
-        def recorder(name):
-            kernel = getattr(algebra, name)
+        def recorded(n, p, ring):
+            calls.append((n, p, ring))
+            return kernel(n, p, ring)
 
-            def recorded(n, p):
-                calls.append((name, n, p))
-                return kernel(n, p)
-
-            return recorded
-
-        for name in ("_image_line", "_straight_line"):
-            monkeypatch.setattr(algebra, name, recorder(name))
+        monkeypatch.setattr(algebra, "_image_line", recorded)
         sig = Signature(3, 2)
         dense = random_mv(sig, rng, 1, 9)
         dense * dense
@@ -314,9 +399,7 @@ class TestStraightLineProduct:
         dense4 * dense4
         dense_f64 = random_mv(sig, rng, 1, 9, FLOAT64)
         dense_f64 * dense_f64
-        assert calls == [
-            ("_image_line", 5, 3), ("_image_line", 4, 2), ("_straight_line", 5, 3),
-        ]
+        assert calls == [(5, 3, RATIONAL), (4, 2, RATIONAL), (5, 3, FLOAT64)]
         calls.clear()
         # 6 x 32 = 192 nonzero pairs stay below the threshold 4^5 / 5.
         sparse = Multivector.from_terms(sig, {m: 1 for m in range(0, 32, 6)})
@@ -328,7 +411,7 @@ class TestStraightLineProduct:
         assert seven * seven == _loop_product(seven, seven, monkeypatch)
         assert calls == []
         assert eight * seven == _loop_product(eight, seven, monkeypatch)
-        assert calls == [("_image_line", 4, 2)]
+        assert calls == [(4, 2, RATIONAL)]
         calls.clear()
         # f64 stays on the loop at n = 4, and n = 6 has no kernel.
         for other, ring in (

@@ -7,14 +7,18 @@ compared by float.hex with fixtures/float_golden.json.  The file holds
 `_snapshot()` as written before the two char-poly recursions were
 merged; rewrite it (`python tests/test_float_golden.py`, which prints
 each value that changes, old -> new) only for a deliberate change of
-the float results.
+the float results.  A sha256 pins dense f64 products at n = 5, which
+run the generated image kernel, on every interpreter.
 """
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 from gasylv import (
     FLOAT64,
+    Multivector,
     Signature,
     SylvesterProblem,
     char_poly,
@@ -82,6 +86,35 @@ def test_float_results_match_the_golden_file():
     assert sorted(got) == sorted(golden)
     for key in golden:
         assert got[key] == golden[key], key
+
+
+# sha256 of _product_digest's products, the same on CPython 3.10 to 3.13.
+PRODUCT_DIGEST = "455101edf903a78c6969ab11cd3ba3bbdf7198a0fa29a35342e0444174856200"
+
+
+def _product_digest():
+    """sha256 over float.hex of 20 dense f64 products in each n = 5
+    signature.  The operands take uniform(-1, 1) times a power of two
+    from 2**-20 to 2**20, from random.Random(26), which draw alike on
+    every interpreter, and no sum(), which CPython 3.12 made
+    compensated."""
+    rng = random.Random(26)
+    digest = hashlib.sha256()
+    for p in range(6):
+        sig = Signature(p, 5 - p)
+        for _ in range(20):
+            u, v = (
+                Multivector(sig, [
+                    rng.uniform(-1, 1) * 2.0 ** rng.randint(-20, 20) for _ in range(32)
+                ], FLOAT64)
+                for _ in range(2)
+            )
+            digest.update(" ".join(c.hex() for c in (u * v).coeffs).encode())
+    return digest.hexdigest()
+
+
+def test_dense_n5_products_are_pinned_by_digest():
+    assert _product_digest() == PRODUCT_DIGEST
 
 
 def _leaves(value, path):

@@ -1013,6 +1013,31 @@ def test_a_singular_problem_on_the_traces_is_refused(sig, rng):
             assert refusal.value.q == 0
 
 
+@pytest.mark.parametrize("matrices", [True, False], ids=["matrices", "blades"])
+def test_a_singular_verdict_assembles_no_f(matrices, rng, monkeypatch):
+    # B = A, dense, n = 6: Q is zero on either kernel, and the refusal
+    # comes before F, which it never reads.
+    prob = _dense_problem(Signature(3, 3), rng, "int")
+    singular = SylvesterProblem(prob.a, prob.a, prob.c)
+    assert _spinor.pays_off(singular.a, singular.b)
+    if not matrices:
+        monkeypatch.setattr(_spinor, "pays_off", lambda a, b: False)
+    sides = []
+    for side in (sylvester._BabySteps, sylvester._Differences):
+        monkeypatch.setattr(
+            side, "f", lambda self, *args: pytest.fail("F was assembled")
+        )
+        monkeypatch.setattr(
+            side, "d", lambda self, *args, d=side.d: sides.append(type(self)) or d(self, *args)
+        )
+    for method in sylvester._methods_for(6):
+        with pytest.raises(SingularProblemError) as refusal:
+            solve(singular, method)
+        assert refusal.value.q == 0
+    side = sylvester._BabySteps if matrices else sylvester._Differences
+    assert sides == [side]
+
+
 @pytest.mark.parametrize("sig", [
     Signature(3, 2), Signature(1, 4), Signature(0, 5), Signature(3, 3),
     Signature(2, 4), Signature(4, 3), Signature(3, 4),

@@ -779,6 +779,46 @@ class TestFloatMode:
                 solve(prob, method=method)
             assert "nan" not in str(info.value)
 
+    def test_a_nan_in_x_is_flagged(self):
+        # A = B = e and C = 0: the residual of X is X - X, NaN only where
+        # X is, and the max norm skips a NaN that is not first, so it
+        # reads 0.  X itself must be tested.
+        sig = Signature(2, 1)
+        one = Multivector.scalar(sig, 1.0, FLOAT64)
+        prob = SylvesterProblem(one, one, Multivector.zero(sig, FLOAT64))
+        m = Multivector(sig, [1.0, math.nan] + [0.0] * 6, FLOAT64)
+        assert verify_residual(prob, m) == 0.0
+        x, _, low_confidence = sylvester._float_x(prob, m, 1.0)
+        assert math.isnan(x.coeffs[1]) and low_confidence
+
+    @pytest.mark.parametrize("scale", [1e150, 1e154, 1e300])
+    def test_huge_n5_operands_are_refused_or_flagged(self, scale, rng):
+        # Dense products at n = 5 run the f64 image kernel, which
+        # overflows before the loop does.  A huge A and B overflow D or
+        # B's coefficients under every method and are refused; a huge C
+        # gives an X of its size, confident while it is finite and
+        # flagged once the products of F overflow (at 1e300).  No method
+        # returns a confident non-finite X.
+        def dominant(sig, sign, size):
+            coeffs = [rng.uniform(-1, 1) for _ in range(sig.ncoeffs)]
+            # Left to right: sum() compensates from CPython 3.12 on.
+            coeffs[0] = sign * (1 + reduce(add, map(abs, coeffs[1:]), 0.0))
+            return Multivector(sig, [size * c for c in coeffs], FLOAT64)
+
+        for sig in all_signatures(5, 5):
+            c = Multivector(sig, [rng.uniform(-1, 1) for _ in range(32)], FLOAT64)
+            huge_ab = SylvesterProblem(dominant(sig, 1, scale), dominant(sig, -1, scale), c)
+            huge_c = SylvesterProblem(
+                dominant(sig, 1, 1.0), dominant(sig, -1, 1.0), c.scale(scale)
+            )
+            for method in _methods_for(5):
+                with pytest.raises(NumericalDegradationError, match="overflows"):
+                    solve(huge_ab, method=method)
+                sol = solve(huge_c, method=method)
+                finite = all(map(math.isfinite, sol.x.coeffs))
+                assert finite == (scale < 1e300)
+                assert sol.low_confidence == (not finite)
+
     # Closed forms on dense operands whose scalar parts dominate, uniform
     # (-1, 1) elsewhere, against the exact solve of the same floats.  The
     # largest relative forward error max|X - X_exact| / max|X_exact| was
