@@ -9,6 +9,12 @@ on ints with one gcd per result; a float element is its floats over 1.
 Only the public constructors and scale coerce values; kernel results
 go through _build and _times.  Denominators are this module's alone,
 but for _spinor.enter, which scales every recursion to integers.
+from_terms, scalar and blade coerce and take the lcm over the given
+terms only, O(nnz) Python work; every pass over all 2**n numerators
+(sums, scaling, gcd division, conjugation signs, grade projection) runs
+at C speed through map and per-n tables.  The scalar step of
+Faddeev-LeVerrier on blades reads the scalar numerator alone
+(_scalar_step).
 
 The geometric product is one loop over the nonzero coefficient pairs,
 with a sign mask per blade row, at every n.  Dense operands, with
@@ -28,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import comb, gcd, isfinite, lcm
-from operator import add, sub
+from itertools import compress, repeat
+from math import comb, gcd, isfinite, isnan, lcm, nan
+from operator import add, attrgetter, eq, floordiv, itemgetter, mul, neg, sub
 
 from .errors import NonFiniteError, RingMismatchError, SignatureMismatchError
 
@@ -92,6 +98,14 @@ def _grades(n):
 
 
 @lru_cache(maxsize=None)
+def _grade_picks(n, k):
+    """An itemgetter that takes from a coefficient tuple with one zero
+    appended the coefficients of grade k, and that zero for the others."""
+    zero = 1 << n
+    return itemgetter(*[m if g == k else zero for m, g in enumerate(_grades(n))])
+
+
+@lru_cache(maxsize=None)
 def _sign_masks(n, p):
     """Row masks of the blade sign rule: e_a e_b = (-1)**popcount(b & m_a)
     e_(a^b), with m_a = (a>>1) ^ (a>>2) ^ ... ^ (a & qmask).
@@ -132,7 +146,10 @@ def _sign_masks(n, p):
 #   largest coefficient.
 # f64 stops at n = 5.  The n = 4 kernel speeds f64 solves up too, but
 # perfbench/run.py keeps one record per op, so its peak RSS grows with
-# ops/s past that metric's bound (ROADMAP item 7); enabling it is one
+# ops/s (ROADMAP item 7).  Without it and with it, two paired 15 s
+# solve_f64 runs (seeds 901, 902) read ops/s 1208 -> 1892 and 1202 ->
+# 1912, and peak_rss_mb 35.5 -> 40.4 (+13.8 %) and 34.3 -> 37.4
+# (+9.1 %), against that metric's 10 % bound.  Enabling it is one
 # entry, 4, below.  Dense exact n = 5 solves and public recursions run
 # on the spinor matrices, but the rational 5 serves an explicit
 # closed_n5, closed_form_det and the dense intermediate products of
@@ -223,7 +240,7 @@ class Multivector:
             raise ValueError(
                 f"expected {sig.ncoeffs} coefficients, got {len(coeffs)}"
             )
-        return _over_lcm(sig, ring, coeffs, coeffs)
+        return _build(sig, ring, *_over_lcm(coeffs, ring))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -247,10 +264,11 @@ class Multivector:
     @classmethod
     def from_terms(cls, sig, terms, ring=RATIONAL):
         """Build from {mask: coefficient}; missing blades are zero."""
-        coeffs = [_coerce(0, ring)] * sig.ncoeffs
-        for mask, value in terms.items():
-            coeffs[mask] = _coerce(value, ring)
-        return _over_lcm(sig, ring, coeffs, [coeffs[mask] for mask in terms])
+        values, den = _over_lcm([_coerce(v, ring) for v in terms.values()], ring)
+        num = [_coerce(0, ring)] * sig.ncoeffs
+        for mask, value in zip(terms, values):
+            num[mask] = value
+        return _build(sig, ring, num, den)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -281,16 +299,14 @@ class Multivector:
         return _value(self._num[0], self._den)
 
     def max_abs_coeff(self):
-        return _value(max(map(abs, self._num)), self._den)
+        return _max_abs(self._num, self._den)
 
     def nonscalar_norm(self):
         """Max absolute coefficient outside grade 0."""
-        rest = self._num[1:]
-        return _value(max(map(abs, rest)), self._den) if rest else self._zero()
+        return _max_abs(self._num[1:], self._den)
 
     def is_zero(self):
-        zero = self._zero()
-        return all(c == zero for c in self._num)
+        return not any(self._num)
 
     # -- linear structure ----------------------------------------------
 
@@ -310,11 +326,13 @@ class Multivector:
         else:
             den = lcm(den, other._den)
             fa, fb = den // self._den, den // other._den
-            out = [op(a * fa, b * fb) for a, b in zip(self._num, other._num)]
+            out = list(map(
+                op, map(mul, self._num, repeat(fa)), map(mul, other._num, repeat(fb))
+            ))
         return _build(self.sig, self.ring, out, den)
 
     def __neg__(self):
-        return _build(self.sig, self.ring, [-c for c in self._num], self._den)
+        return _build(self.sig, self.ring, list(map(neg, self._num)), self._den)
 
     def scale(self, value):
         return _times(self, _coerce(value, self.ring))
@@ -381,7 +399,7 @@ class Multivector:
             self.sig == other.sig
             and self.ring == other.ring
             and self._den == other._den
-            and all(a == b for a, b in zip(self._num, other._num))
+            and all(map(eq, self._num, other._num))
         )
 
     def __hash__(self):
@@ -393,23 +411,8 @@ class Multivector:
         n = self.sig.dim
         if not 0 <= k <= n:
             raise ValueError(f"grade {k} out of range 0..{n}")
-        grades = _grades(n)
-        zero = self._zero()
-        return _build(
-            self.sig,
-            self.ring,
-            [c if grades[i] == k else zero for i, c in enumerate(self._num)],
-            self._den,
-        )
-
-    def _apply_grade_signs(self, signs):
-        grades = _grades(self.sig.dim)
-        return _build(
-            self.sig,
-            self.ring,
-            [c if signs[grades[i]] > 0 else -c for i, c in enumerate(self._num)],
-            self._den,
-        )
+        pick = _grade_picks(n, k)
+        return _build(self.sig, self.ring, pick((*self._num, self._zero())), self._den)
 
     def hat(self):
         return conjugate(self, "hat")
@@ -432,15 +435,29 @@ class Multivector:
         return f"<Multivector Cl({self.sig.p},{self.sig.q}) {self}>"
 
 
-def _over_lcm(sig, ring, coeffs, values):
-    """The coerced coeffs (ints and Fractions, or floats) as numerators
-    over the lcm of the denominators of values, every nonzero one."""
-    den = 1
-    if ring == RATIONAL:
-        den = lcm(*[v.denominator for v in values if type(v) is not int])
-    if den != 1:
-        coeffs = [c and c.numerator * (den // c.denominator) for c in coeffs]
-    return _build(sig, ring, coeffs, den)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _over_lcm(values, ring):
+    """(numerators, den) of coerced values, ints and Fractions or floats:
+    den is the lcm of their denominators, 1 for floats."""
+    if ring != RATIONAL:
+        return values, 1
+    den = lcm(*[v.denominator for v in values if type(v) is not int])
+    if den == 1:
+        return values, 1
+    scales = map(floordiv, repeat(den), map(_denominator, values))
+    return list(map(mul, map(_numerator, values), scales)), den
+
+
+def _max_abs(num, den):
+    """max |c| / den over the numerators num, NaN where one of them is
+    NaN: max() returns a NaN only when it comes first."""
+    top = max(map(abs, num))
+    if type(top) is float and any(map(isnan, num)):
+        return nan
+    return _value(top, den)
 
 
 def _times(u, value):
@@ -449,8 +466,32 @@ def _times(u, value):
     gcd in _build."""
     num, den = (value, 1) if u.ring == FLOAT64 else value.as_integer_ratio()
     return _build(
-        u.sig, u.ring, u._num if num == 1 else [num * c for c in u._num], den * u._den
+        u.sig, u.ring, u._num if num == 1 else list(map(mul, repeat(num), u._num)),
+        den * u._den,
     )
+
+
+def _scalar_step(u, length, k, differ):
+    """The scalar step of Faddeev-LeVerrier on blades, from u's scalar
+    numerator: c = (length/k) <u>_0, a number of u's ring (an int where
+    it is one), and u - c if differ, else None.  A rational u - c changes
+    the scalar numerator, and the others only where c's denominator is
+    not a divisor of u's."""
+    num, den = u._num, u._den
+    if u.ring == FLOAT64:
+        c = length / k * num[0]
+        return c, (_build(u.sig, u.ring, (num[0] - c, *num[1:])) if differ else None)
+    top, bottom = length * num[0], k * den
+    g = gcd(top, bottom)
+    top, bottom = top // g, bottom // g
+    c = top if bottom == 1 else Fraction(top, bottom)
+    if not differ:
+        return c, None
+    # u - c over lcm(den, bottom) = den * m.
+    m = bottom // gcd(bottom, den)
+    rest = num[1:] if m == 1 else map(mul, num[1:], repeat(m))
+    first = num[0] * m - top * (den * m // bottom)
+    return c, _build(u.sig, u.ring, (first, *rest), den * m)
 
 
 def _build(sig, ring, num, den=1):
@@ -459,7 +500,7 @@ def _build(sig, ring, num, den=1):
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = [c // g for c in num]
+            num = list(map(floordiv, num, repeat(g)))
             den //= g
     u = object.__new__(Multivector)
     object.__setattr__(u, "sig", sig)
@@ -471,7 +512,10 @@ def _build(sig, ring, num, den=1):
 
 @lru_cache(maxsize=None)
 def _conj_signs(n, choose):
-    return tuple(-1 if comb(k, choose) & 1 else 1 for k in range(n + 1))
+    """The sign of each blade under a conjugation: (-1)**comb(grade,
+    choose).  Multiplying by 1 or -1 leaves or flips each coefficient,
+    signed zeros included."""
+    return tuple(-1 if comb(g, choose) & 1 else 1 for g in _grades(n))
 
 
 def conjugate(u, kind, j=None):
@@ -492,7 +536,8 @@ def conjugate(u, kind, j=None):
             choose = _CONJ_CHOOSE[kind]
         except KeyError:
             raise ValueError(f"unknown conjugation kind {kind!r}") from None
-    return u._apply_grade_signs(_conj_signs(u.sig.dim, choose))
+    signs = _conj_signs(u.sig.dim, choose)
+    return _build(u.sig, u.ring, list(map(mul, u._num, signs)), u._den)
 
 
 def grade_project(u, k):

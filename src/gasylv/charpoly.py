@@ -7,11 +7,13 @@ run with two projections P: L = N = 2**ceil(n/2) steps of the scalar
 part give the characteristic polynomial (c_(k) = b_(k)), and for odd n
 L = N/2 steps of the center projection give the generalized central
 coefficients that halve the recursion.  The loop needs only products,
-sums and the projection, so it runs unchanged on either kernel.  The
-public functions take b where a solve would (_spinor.enter): times the
-lcm s of its denominators, on the spinor matrices where pays_off(b, b)
-holds.  A value of degree k is then divided by s**k once, and iterates
-and differences go back to blades when first read.  Closed-form
+sums and the projection, so it runs on either kernel; on blades the
+scalar step forms c_(k) and B_(k) - c_(k) from the scalar numerator of
+B_(k) (algebra._scalar_step).  The public functions take b where a
+solve would (_spinor.enter): times the lcm s of its denominators, on
+the spinor matrices where pays_off(b, b) holds.  A value of degree k is
+then divided by s**k once, and iterates and differences go back to
+blades when first read.  Closed-form
 determinant expressions for n <= 5 serve as cross-check oracles; the
 closed adjugates they multiply are also those of the closed-form solvers.
 
@@ -38,6 +40,7 @@ from .algebra import (
     RATIONAL,
     Multivector,
     _require_finite,
+    _scalar_step,
     _times,
     _value,
     center_project,
@@ -115,29 +118,37 @@ class GeneralizedCoeffs:
     differences: tuple = _OnFirstRead()
 
 
-def _faddeev_leverrier(b, length, project):
-    """Iterates, coefficients c_(k) = project(B_(k), length/k) (each a
-    multivector) and differences B_(k) - c_(k) of `length` steps."""
+def _faddeev_leverrier(b, length, step):
+    """Iterates, coefficients and differences B_(k) - c_(k) of `length`
+    steps: step(B_(k), length, k, k < length) gives c_(k) and, where its
+    last argument holds, the difference."""
     iterates = []
     coeffs = []
     differences = []
     cur = b
     for k in range(1, length + 1):
-        ck = project(cur, Fraction(length, k))
+        ck, difference = step(cur, length, k, k < length)
         iterates.append(cur)
         coeffs.append(ck)
-        if k < length:
-            differences.append(cur - ck)
-            cur = b * differences[-1]
+        if difference is not None:
+            differences.append(difference)
+            cur = b * difference
     return tuple(iterates), tuple(coeffs), tuple(differences)
 
 
-def _scalar_coeff(u, ratio):
-    return type(u).scalar(u.sig, ratio * u.scalar_part(), u.ring)
+def _scalar_coeff(u, length, k, differ):
+    """c_(k) = (length/k) <u>_0, a number, and u - c_(k): on blades from
+    u's scalar numerator alone (algebra._scalar_step)."""
+    if isinstance(u, Multivector):
+        return _scalar_step(u, length, k, differ)
+    ck = type(u).scalar(u.sig, Fraction(length, k) * u.scalar_part(), u.ring)
+    return ck.scalar_part(), (u - ck if differ else None)
 
 
-def _central_coeff(u, ratio):
-    return center_project(u).scale(ratio)
+def _central_coeff(u, length, k, differ):
+    """c_(k) = (length/k) <u>_cen, a central element, and u - c_(k)."""
+    ck = center_project(u).scale(Fraction(length, k))
+    return ck, (u - ck if differ else None)
 
 
 def _char_poly(b):
@@ -145,7 +156,6 @@ def _char_poly(b):
     iterates, coeffs, differences = _faddeev_leverrier(
         b, b.sig.charpoly_degree, _scalar_coeff
     )
-    coeffs = tuple(c.scalar_part() for c in coeffs)
     # An overflowed f64 recursion leaves inf - inf = nan in the residue
     # too; report the overflow, not the nan.
     if b.ring != RATIONAL and not all(map(math.isfinite, coeffs)):
@@ -241,7 +251,11 @@ def is_zero_scalar(value, b):
         return False
     v, dv = abs(value).as_integer_ratio()
     t, dt = ZERO_TOL.as_integer_ratio()
-    m, dm = b.max_abs_coeff().as_integer_ratio()
+    norm = b.max_abs_coeff()
+    # A NaN or infinite coefficient of b leaves no bound to compare with.
+    if not math.isfinite(norm):
+        return False
+    m, dm = norm.as_integer_ratio()
     big_n = b.sig.charpoly_degree
     return v * dt * dm ** big_n <= t * dv * (dm ** big_n + m ** big_n)
 

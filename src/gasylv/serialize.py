@@ -20,6 +20,13 @@ In the f64 ring an integer coefficient is read by float(), which has no
 such limit; one beyond the f64 range is refused as such, and so is a
 nonzero coefficient that rounds to 0.
 
+Printing reads an element's numerators and its one denominator, never a
+Fraction view: one pass over the nonzero coefficients in printing order
+(a table per n of the blade names in that order), one gcd per printed
+rational coefficient, and under decimal num / den, which rounds
+correctly as float(Fraction) does and keeps the exact form where it
+overflows.
+
 Golden fixture files use one blade term per line: 'MASK NUM/DEN', with
 no limit on the digits, as _int_str writes them.
 """
@@ -32,6 +39,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 
 from .algebra import FLOAT64, RATIONAL, Multivector, _grades
 from .errors import NonFiniteError, ParseError
@@ -182,48 +191,53 @@ def _scalar_str(value):
     return _int_str(int(value))
 
 
-def _coef_str(value, decimal):
-    if decimal or isinstance(value, float):
+def _coef_str(mag, den, decimal):
+    """The text of the value mag / den > 0, from a numerator and its
+    element's denominator: a float's repr, in the rational ring also under
+    decimal, where mag / den rounds correctly as float(Fraction) does,
+    and otherwise, or beyond the f64 range, the exact value in lowest
+    terms."""
+    if decimal or type(mag) is float:
         try:
-            return _float_str(float(value))
+            return _float_str(mag / den)
         except OverflowError:
             pass  # a rational beyond the f64 range keeps its exact form
-    return _scalar_str(value)
+    g = math.gcd(mag, den)
+    if g == den:
+        return _int_str(mag // g)
+    return f"{_int_str(mag // g)}/{_int_str(den // g)}"
 
 
 @lru_cache(maxsize=None)
-def _blade_order(n):
-    """The masks of Cl(p,q), n = p + q, in printing order (grade, mask)."""
+def _print_order(n):
+    """(pick, names) for Cl(p,q), n = p + q, in printing order (grade,
+    mask): an itemgetter of the coefficients in that order, and the blade
+    names, empty for the scalar."""
     grades = _grades(n)
-    return tuple(sorted(range(1 << n), key=lambda m: (grades[m], m)))
+    order = sorted(range(1 << n), key=lambda m: (grades[m], m))
+    return itemgetter(*order), tuple(blade_name(m, n) if m else "" for m in order)
 
 
 def format_multivector(u, decimal=False):
     """Render in blade order (grade, mask); parses back to an equal
     multivector while no integer in it is longer than the input limit
     on digits (see the module docstring)."""
-    n = u.sig.dim
-    coeffs = u.coeffs
+    pick, names = _print_order(u.sig.dim)
+    values = pick(u._num)
+    den = u._den
     parts = []
-    for mask in _blade_order(n):
-        c = coeffs[mask]
-        if not c:
-            continue
-        negative = c < 0
-        mag = -c if negative else c
-        body = _coef_str(mag, decimal)
-        if mask != 0:
-            if mag == 1 and not decimal:
-                body = blade_name(mask, n)
-            else:
-                body = body + blade_name(mask, n)
-        if not parts:
-            parts.append(("-" if negative else "") + body)
+    for name, c in compress(zip(names, values), values):
+        mag = -c if c < 0 else c
+        # A unit coefficient of a blade is left out: mag / den == 1.
+        if name and mag == den and not decimal:
+            body = name
         else:
-            parts.append(("- " if negative else "+ ") + body)
+            body = _coef_str(mag, den, decimal) + name
+        parts.append(("- " if c < 0 else "+ ") + body)
     if not parts:
         return "0"
-    return " ".join(parts)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def dump_coeff_lines(u):

@@ -415,8 +415,7 @@ def _exact_x(a, b, c, m, q, method):
 def _float_x(prob, m, q):
     """(X, residual, low_confidence) for X = M / Q in f64, checked by
     substitution on the blades: X is flagged when it or its residual is
-    not finite, or the residual is above its bound.  The max norm skips
-    a NaN that is not first, so X's own coefficients are tested."""
+    not finite, or the residual is above its bound."""
     x = m / q
     residual = verify_residual(prob, x)
     norm_x = x.max_abs_coeff()

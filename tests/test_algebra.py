@@ -731,6 +731,19 @@ class TestRepresentation:
         scalar = Multivector.scalar(sig, -2.0, FLOAT64)
         assert all(math.copysign(1.0, c) == 1.0 for c in scalar.coeffs[1:])
 
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_max_norms_read_a_nan_wherever_it_stands(self, at):
+        # max() returns a NaN only when it comes first; the norms must
+        # not depend on where it is.
+        sig = Signature(1, 1)
+        coeffs = [2.0, -3.0, 0.5, -0.0]
+        coeffs[at] = math.nan
+        u = Multivector(sig, coeffs, FLOAT64)
+        assert math.isnan(u.max_abs_coeff())
+        assert math.isnan(u.nonscalar_norm()) is (at != 0)
+        if at == 0:
+            assert u.nonscalar_norm() == 3.0
+
     def test_public_constructor_refuses_bad_values(self):
         sig = Signature(1, 0)
         with pytest.raises(ValueError, match="expected 2 coefficients, got 3"):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -37,6 +39,7 @@ from gasylv.charpoly import (
     _scalar_coeff,
     is_zero_scalar,
 )
+from gasylv import _spinor
 from gasylv._spinor import _Gaussian
 from conftest import all_signatures, random_mv, random_sparse_mv
 from oracles import matrix_determinant
@@ -162,6 +165,13 @@ class TestCharPoly:
                 for value in (v, -v):
                     want = math.isfinite(value) and Fraction(abs(value)) <= bound
                     assert is_zero_scalar(value, b) is want, (size, value)
+        # A NaN or an infinity anywhere in b leaves no bound: not zero.
+        for bad in (math.nan, math.inf):
+            for at in range(2):
+                coeffs = [1.0] * sig.ncoeffs
+                coeffs[at] = bad
+                b = Multivector(sig, coeffs, FLOAT64)
+                assert is_zero_scalar(0.0, b) is False
         # The exact ring tests value == 0, whatever the size of b.
         b = Multivector.scalar(sig, 10**400)
         assert is_zero_scalar(0, b) and is_zero_scalar(Fraction(0), b)
@@ -183,8 +193,6 @@ class TestCharPoly:
                 )
             for data, length, project in runs:
                 iterates, coeffs, differences = _faddeev_leverrier(b, length, project)
-                if project is _scalar_coeff:
-                    coeffs = tuple(c.scalar_part() for c in coeffs)
                 for got, want in (
                     (data.iterates, iterates),
                     (data.coeffs, coeffs),
@@ -404,3 +412,50 @@ class TestNewton:
         # identities divide by k and must not floor a remainder away.
         with pytest.raises(InternalError, match="not that of an integer matrix"):
             _newton(sums)
+
+
+def _recursion_text(b):
+    """The public recursions of b as text, each value by its repr, which
+    names its type (int, Fraction or float), or the error it raised."""
+    parts = []
+    calls = [char_poly, determinant, inverse]
+    if b.sig.dim % 2:
+        calls.append(generalized_coeffs)
+    for call in calls:
+        try:
+            value = call(b)
+        except (SingularElementError, NumericalDegradationError) as exc:
+            parts.append(f"{type(exc).__name__}: {exc}")
+            continue
+        if isinstance(value, Multivector):
+            parts.append(repr(value.coeffs))
+        elif call in (char_poly, generalized_coeffs):
+            for field in (value.iterates, value.coeffs, value.differences):
+                parts.append(repr([getattr(u, "coeffs", u) for u in field]))
+        else:
+            parts.append(repr(value))
+    return "\n".join(parts)
+
+
+def test_sparse_blade_recursions_are_pinned_by_digest():
+    # One sha256 over char_poly (iterates, coefficients, differences),
+    # generalized_coeffs at odd n, determinant and inverse of sparse
+    # elements with k/d coefficients, and some in f64, at n = 2..10, all
+    # of them on blades: a change to the Faddeev-LeVerrier step that
+    # moves a value or a type shows here.
+    rng = random.Random(27)
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        for p in (n, n - n // 2, 0):
+            sig = Signature(p, n - p)
+            for ring in (RATIONAL, RATIONAL, FLOAT64):
+                terms = {
+                    mask: Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                    for mask in [0] + rng.sample(range(1, 1 << n), rng.randint(1, 3))
+                }
+                b = Multivector.from_terms(sig, terms, ring)
+                assert not _spinor.pays_off(b, b)
+                digest.update(_recursion_text(b).encode())
+    assert digest.hexdigest() == (
+        "c82bef108f0857081e0d628db0fc1fc461ca79c0c6dffe1fcf74912263615ed4"
+    )

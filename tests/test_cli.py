@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import random
 import runpy
 import sys
 from decimal import Decimal
@@ -510,3 +512,78 @@ def test_fuzz_exits_only_with_documented_codes(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+
+
+def _digest_coef(rng, ring):
+    """A coefficient magnitude: an integer, 1 (left out before a blade) or
+    k/d, and in f64 also a decimal, so that every printed form occurs."""
+    kind = rng.randrange(4 if ring == FLOAT64 else 3)
+    if kind == 0:
+        return str(rng.randint(2, 5))
+    if kind == 1:
+        return "1"
+    if kind == 2:
+        return f"{rng.randint(1, 9)}/{rng.randint(2, 6)}"
+    return f"{rng.randint(0, 3)}.{rng.choice(['5', '25', '125', '0001', '3'])}"
+
+
+def _digest_literal(rng, n, ring, count, scalar):
+    """The scalar term, then count blades with random signs."""
+    terms = [scalar]
+    for mask in sorted(rng.sample(range(1, 1 << n), count)):
+        indices = [str(i + 1) for i in range(n) if mask >> i & 1]
+        blade = "e{" + ",".join(indices) + "}" if n >= 10 else "e" + "".join(indices)
+        terms.append(f"{rng.choice('+-')} {_digest_coef(rng, ring)}{blade}")
+    return " ".join(terms)
+
+
+def _digest_runs():
+    """The argv of a seeded sweep, twice over n = 2..10: every command,
+    text and JSON, and the rational ring plain, with --decimal where the
+    command takes it, and f64.  A and B of a solve have scalar parts of
+    opposite sign that outweigh their blades, so most solves are
+    nonsingular; the other commands take plain sparse elements, some
+    singular.  The inputs are literal text: no float sum() enters them."""
+    rng = random.Random(27)
+    for n in [n for n in range(2, 11) for _ in range(2)]:
+        sigs = [(n - n // 2, n // 2), (n, 0), (0, n)]
+        for i, command in enumerate(("solve", "det", "inverse", "charpoly")):
+            for fmt in ("text", "json"):
+                for mode in ("rational", "decimal", "f64"):
+                    if mode == "decimal" and command in ("det", "charpoly"):
+                        continue
+                    ring = FLOAT64 if mode == "f64" else RATIONAL
+                    p, q = sigs[(i + n) % 3]
+                    argv = [command, "--signature", f"{p},{q}", "--scalar", ring,
+                            "--format", fmt]
+                    if command == "solve":
+                        sign = rng.choice((1, -1))
+                        argv += [
+                            "--a=" + _digest_literal(rng, n, ring, 2, str(9 * sign)),
+                            "--b=" + _digest_literal(rng, n, ring, 2, str(-9 * sign)),
+                            "--c=" + _digest_literal(rng, n, ring, rng.randint(1, 3),
+                                                     _digest_coef(rng, ring)),
+                        ]
+                    else:
+                        scalar = rng.choice(["-", ""]) + _digest_coef(rng, ring)
+                        count = rng.randint(1, 3)
+                        argv.append("--b=" + _digest_literal(rng, n, ring, count, scalar))
+                    if mode == "decimal":
+                        argv.append("--decimal")
+                    if command == "charpoly" and n % 2:
+                        argv.append("--generalized")
+                    yield argv
+
+
+# sha256 over the argv, exit code and stdout of every call of _digest_runs.
+CLI_DIGEST = "d2ecd755d00049e8b66f1340fcafc94927f81913a55993bc2a3fb89437d68207"
+
+
+def test_cli_output_is_pinned_by_digest():
+    digest = hashlib.sha256()
+    for argv in _digest_runs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        digest.update(f"{argv}\n{code}\n{out.getvalue()}\n".encode())
+    assert digest.hexdigest() == CLI_DIGEST

@@ -1,4 +1,5 @@
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,62 @@ class TestFormat:
         text = format_multivector(u, decimal=True)
         assert text == f"{big} - {big}/3e1"
         assert parse_multivector(text, sig, RATIONAL) == u
+
+    def test_integers_beyond_the_str_digit_limit(self):
+        # More than sys.get_int_max_str_digits() digits, also beyond the
+        # f64 range under decimal=True, and as numerator and denominator.
+        sig = Signature(2, 0)
+        big = 7**6000
+        u = Multivector.from_terms(sig, {0: big, 1: Fraction(-1, big), 3: 1})
+        text = str(Decimal(big))
+        assert len(text) > 4300
+        assert format_multivector(u) == f"{text} - 1/{text}e1 + e12"
+        assert format_multivector(u, decimal=True) == f"{text} - 0.0e1 + 1.0e12"
+
+    def test_decimal_beyond_float_range_over_a_shared_denominator(self):
+        # u's numerators share the denominator 3, so 10**400 is stored as
+        # 3 * 10**400 / 3; its text is exact and in lowest terms.
+        sig = Signature(1, 0)
+        u = Multivector.from_terms(sig, {0: 10**400, 1: Fraction(1, 3)})
+        assert u._den == 3
+        text = format_multivector(u, decimal=True)
+        assert text == f"{10**400} + 0.3333333333333333e1"
+
+    def test_f64_signed_zeros_subnormals_and_unit_elision(self):
+        sig = Signature(2, 0)
+        u = Multivector(sig, [-0.0, 5e-324, 1.0, -1.0], FLOAT64)
+        tiny = Fraction(5e-324)
+        assert format_multivector(u) == f"{tiny.numerator}/{tiny.denominator}e1 + e2 - e12"
+        assert format_multivector(u, decimal=True) == (
+            f"{tiny.numerator}/{tiny.denominator}e1 + 1.0e2 - 1.0e12"
+        )
+        assert parse_multivector(format_multivector(u), sig, FLOAT64) == u
+        assert format_multivector(Multivector(sig, [-0.0] * 4, FLOAT64)) == "0"
+
+    def test_unit_elision_over_a_denominator(self):
+        # The blade coefficients +-1 are stored as +-2 over 2.
+        sig = Signature(2, 0)
+        u = Multivector.from_terms(sig, {0: Fraction(1, 2), 1: 1, 2: -1, 3: Fraction(3, 2)})
+        assert u._den == 2
+        assert format_multivector(u) == "1/2 + e1 - e2 + 3/2e12"
+        assert format_multivector(u, decimal=True) == "0.5 + 1.0e1 - 1.0e2 + 1.5e12"
+        assert format_multivector(-u) == "-1/2 - e1 + e2 - 3/2e12"
+
+    @pytest.mark.parametrize("ring", [RATIONAL, FLOAT64])
+    def test_round_trip_sparse_and_dense(self, rng, ring):
+        def value():
+            if ring == FLOAT64:
+                return rng.uniform(-1, 1) * 2.0 ** rng.randint(-1000, 1000)
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+        for n in range(1, 11):
+            sig = Signature(n - n // 2, n // 2)
+            for count in (1, 3, sig.ncoeffs if n <= 6 else 5):
+                masks = rng.sample(range(sig.ncoeffs), min(count, sig.ncoeffs))
+                u = Multivector.from_terms(sig, {m: value() for m in masks}, ring)
+                for decimal in (False, True) if ring == FLOAT64 else (False,):
+                    text = format_multivector(u, decimal)
+                    assert parse_multivector(text, sig, ring) == u, text
 
     def test_round_trip_rational(self, rng):
         for sig in all_signatures(5):

@@ -781,15 +781,17 @@ class TestFloatMode:
 
     def test_a_nan_in_x_is_flagged(self):
         # A = B = e and C = 0: the residual of X is X - X, NaN only where
-        # X is, and the max norm skips a NaN that is not first, so it
-        # reads 0.  X itself must be tested.
+        # X is; the max norm reads NaN first, second or last.
         sig = Signature(2, 1)
         one = Multivector.scalar(sig, 1.0, FLOAT64)
         prob = SylvesterProblem(one, one, Multivector.zero(sig, FLOAT64))
-        m = Multivector(sig, [1.0, math.nan] + [0.0] * 6, FLOAT64)
-        assert verify_residual(prob, m) == 0.0
-        x, _, low_confidence = sylvester._float_x(prob, m, 1.0)
-        assert math.isnan(x.coeffs[1]) and low_confidence
+        for at in (0, 1, 7):
+            coeffs = [1.0] + [0.0] * 7
+            coeffs[at] = math.nan
+            m = Multivector(sig, coeffs, FLOAT64)
+            assert math.isnan(verify_residual(prob, m)), at
+            x, _, low_confidence = sylvester._float_x(prob, m, 1.0)
+            assert math.isnan(x.coeffs[at]) and low_confidence, at
 
     @pytest.mark.parametrize("scale", [1e150, 1e154, 1e300])
     def test_huge_n5_operands_are_refused_or_flagged(self, scale, rng):
