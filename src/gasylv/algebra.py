@@ -27,6 +27,13 @@ f64 by a multiplication by an exact power of two, so f64 results are
 the image sums rounded left to right, not the loop's.  The central part
 of a product, which the closed forms' coefficients need, takes O(2**n)
 (_center_of_product).
+
+A Span is the subalgebra spanned by some blades, with 2**r coordinates
+of its own for r the rank of their masks over GF(2).  Its elements are
+Multivectors whose sig is the Span, and their products run the same mask
+loop (_mask_product) with an r-bit sign table, visiting the nonzero
+coefficients in the same ascending order of blade masks, so f64 sums
+round as on blades.  The recursions of charpoly run there.
 """
 
 from __future__ import annotations
@@ -170,6 +177,97 @@ def _image_line(n, p, ring=RATIONAL):
     return namespace["product"]
 
 
+def _mask_product(u, v, masks, popcount, zero):
+    """The mask loop: the product of the coefficient vectors u and v of a
+    basis where e_a e_b = (-1)**popcount[b & masks[a]] e_(a^b), summed
+    over the nonzero pairs with a and then b ascending."""
+    out = [zero] * len(u)
+    blades = range(len(u))
+    terms = [(b, v[b]) for b in compress(blades, v)]
+    for a in compress(blades, u):
+        ca, m = u[a], masks[a]
+        for b, cb in terms:
+            if popcount[b & m] & 1:
+                out[a ^ b] -= ca * cb
+            else:
+                out[a ^ b] += ca * cb
+    return out
+
+
+class Span:
+    """The subalgebra S of Cl(p,q) spanned by the blades whose masks lie in
+    one GF(2) subspace, with coordinates of its own: basis holds the r
+    masks g_0 < ... < g_(r-1) of a reduced echelon basis (each pivot, the
+    highest bit of one g_t, is set in no other), and compact index j
+    stands for the XOR of the g_t picked by j's bits.  So XOR of indices
+    is XOR of masks, and ascending indices are ascending masks.  The sign
+    rule of Cl(p,q) is linear in the left mask, so S's is the mask loop's
+    with the r-bit masks m'_j, bit t = parity(g_t & m_(mask of j)).
+
+    An element of S in these coordinates is a Multivector whose sig is
+    the Span: products, sums, scaling and the scalar part (index 0) work
+    as on blades, and to_blades and of_blades convert."""
+
+    __slots__ = ("sig", "basis", "full", "masks", "popcount", "ncoeffs")
+
+    def __init__(self, sig, basis):
+        self.sig, self.basis = sig, basis
+        rows = _sign_masks(sig.dim, sig.p)
+        full, masks = [0], [0]
+        for g in basis:
+            m = sum(((h & rows[g]).bit_count() & 1) << t for t, h in enumerate(basis))
+            full += [f ^ g for f in full]
+            masks += [x ^ m for x in masks]
+        self.full, self.masks = tuple(full), tuple(masks)
+        self.popcount = _grades(len(basis))
+        self.ncoeffs = len(full)
+
+    @classmethod
+    def of(cls, u):
+        """The span of u's nonzero blades, or None where they span all n
+        generators; that holds without a look where more than 2**(n-1)
+        coefficients are nonzero."""
+        n, num = u.sig.dim, u._num
+        if len(num) - num.count(0) > 1 << (n - 1):
+            return None
+        pivots = {}
+        for m in compress(range(len(num)), num):
+            for bit, g in pivots.items():
+                if m >> bit & 1:
+                    m ^= g
+            if m:
+                top = m.bit_length() - 1
+                for bit, g in pivots.items():
+                    if g >> top & 1:
+                        pivots[bit] = g ^ m
+                pivots[top] = m
+        if len(pivots) == n:
+            return None
+        return cls(u.sig, tuple(pivots[bit] for bit in sorted(pivots)))
+
+    # p, q and n of the algebra S lies in, for what reports products by
+    # algebra (perfbench's tracer); no product or projection reads them.
+    p = property(lambda self: self.sig.p)
+    q = property(lambda self: self.sig.q)
+    dim = property(lambda self: self.sig.dim)
+
+    @property
+    def holds_pseudoscalar(self):
+        """Whether e_1...e_n lies in S, at S's last index if so."""
+        return self.full[-1] == (1 << self.sig.dim) - 1
+
+    def of_blades(self, u):
+        """u, an element of S on blades, in S's coordinates."""
+        return _build(self, u.ring, list(map(u._num.__getitem__, self.full)), u._den)
+
+    def to_blades(self, u):
+        """u, an element in S's coordinates, on the blades of Cl(p,q)."""
+        num = [u._zero()] * self.sig.ncoeffs
+        for m, c in zip(self.full, u._num):
+            num[m] = c
+        return _build(self.sig, u.ring, num, u._den)
+
+
 def blade_product(a_mask, b_mask, sig):
     """Product of two basis blades: returns (sign, result_mask)."""
     n = sig.dim
@@ -228,7 +326,8 @@ class Multivector:
 
     A rational element holds a tuple of int numerators over one positive
     denominator, in lowest terms; a float element holds its floats over
-    1.  coeffs shows the values: floats, or an int where the denominator
+    1.  Where sig is a Span, the numerators are the element's coordinates
+    in that subalgebra (Span).  coeffs shows the values: floats, or an int where the denominator
     divides the numerator and a reduced Fraction otherwise.
     """
 
@@ -350,31 +449,23 @@ class Multivector:
         if not isinstance(other, Multivector):
             return self.scale(other)
         self._check_compat(other)
-        n = self.sig.dim
-        u, v = self._num, other._num
-        # An f64 sum is finite only if every coefficient is: the loop
-        # skips zeros and never forms 0 * inf, and the kernel must not.
-        if (
-            n in _STRAIGHT_LINE_DIMS[self.ring]
-            and (len(u) - u.count(0)) * (len(v) - v.count(0)) * 5 >= 1 << 2 * n
-            and (self.ring == RATIONAL or isfinite(sum(u) + sum(v)))
-        ):
-            out = _image_line(n, self.sig.p, self.ring)(u, v)
-            return _build(self.sig, self.ring, out, self._den * other._den)
-        out = [self._zero()] * (1 << n)
-        # e_a e_b = -e_(a^b) exactly when b & masks[a] has odd popcount.
-        blades = range(1 << n)
-        terms = [(b, v[b]) for b in compress(blades, v)]
-        masks = _sign_masks(n, self.sig.p)
-        popcount = _grades(n)
-        for a in compress(blades, u):
-            ca, m = u[a], masks[a]
-            for b, cb in terms:
-                if popcount[b & m] & 1:
-                    out[a ^ b] -= ca * cb
-                else:
-                    out[a ^ b] += ca * cb
-        return _build(self.sig, self.ring, out, self._den * other._den)
+        sig, u, v = self.sig, self._num, other._num
+        if type(sig) is Span:
+            masks, popcount = sig.masks, sig.popcount
+        else:
+            n = sig.dim
+            # An f64 sum is finite only if every coefficient is: the loop
+            # skips zeros and never forms 0 * inf, and the kernel must not.
+            if (
+                n in _STRAIGHT_LINE_DIMS[self.ring]
+                and (len(u) - u.count(0)) * (len(v) - v.count(0)) * 5 >= 1 << 2 * n
+                and (self.ring == RATIONAL or isfinite(sum(u) + sum(v)))
+            ):
+                out = _image_line(n, sig.p, self.ring)(u, v)
+                return _build(sig, self.ring, out, self._den * other._den)
+            masks, popcount = _sign_masks(n, sig.p), _grades(n)
+        out = _mask_product(u, v, masks, popcount, self._zero())
+        return _build(sig, self.ring, out, self._den * other._den)
 
     def __rmul__(self, other):
         # Only scalars reach here; scalar multiplication commutes.
@@ -453,8 +544,9 @@ def _over_lcm(values, ring):
 
 def _max_abs(num, den):
     """max |c| / den over the numerators num, NaN where one of them is
-    NaN: max() returns a NaN only when it comes first."""
-    top = max(map(abs, num))
+    NaN: max() returns a NaN only when it comes first.  No numerator (the
+    non-scalar part of a one-coefficient span) gives 0."""
+    top = max(map(abs, num), default=0)
     if type(top) is float and any(map(isnan, num)):
         return nan
     return _value(top, den)
@@ -545,7 +637,16 @@ def grade_project(u, k):
 
 
 def center_project(u):
-    """Projection onto the center: grade 0, plus grade n when n is odd."""
+    """Projection onto the center: grade 0, plus grade n when n is odd.
+    In a span's coordinates (odd n) the pseudoscalar, where S holds it,
+    is the last index; both parts are summed with a zero as on blades."""
+    if type(u.sig) is Span:
+        zero = u._zero()
+        out = [zero] * u.sig.ncoeffs
+        out[0] = u._num[0] + zero
+        if u.sig.holds_pseudoscalar:
+            out[-1] = zero + u._num[-1]
+        return _build(u.sig, u.ring, out, u._den)
     n = u.sig.dim
     out = u.grade_project(0)
     if n & 1:

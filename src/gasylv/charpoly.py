@@ -17,6 +17,27 @@ blades when first read.  Closed-form
 determinant expressions for n <= 5 serve as cross-check oracles; the
 closed adjugates they multiply are also those of the closed-form solvers.
 
+On blades the recursion runs in the subalgebra S that b's own blades
+span (algebra.Span): r is the GF(2) rank of b's nonzero blade masks, and
+S has 2**r coordinates.  Left multiplication by an element of S on S
+has trace 2**r <.>_0 (a blade other than the scalar moves every basis
+element of S to another), so the paper's power sums Tr(B**k) = N
+<B**k>_0 are N / 2**r times those on S.  Where L = 2**r <= N, the
+L steps with c_(k) = (L/k) <B_(k)>_0 give the characteristic polynomial
+chi_L of B on S, and then
+
+    chi_B = chi_L**(N/L),   Det = Det_L**(N/L),
+    Adj = Det_L**(N/L - 1) Adj_L,   B**-1 = Adj_L / Det_L
+
+(_spanned; the adjugate identity follows from B Adj_L = Det_L).  Where
+2**r > N, the same N steps run on S's 2**r coefficients.  For odd n,
+where S holds no pseudoscalar, the center meets S in the scalars, so
+the central coefficients are the scalar ones of chi_L**(N/(2L)) with L =
+min(N/2, 2**r); where it does, the N/2 central steps run in S's
+coordinates.  The route follows from r and n alone: blades that span
+all n generators are their own coordinates, and the N steps run on
+them.  On the spinor matrices the N steps run as before.
+
 The exact solvers on spinor matrices run none of this.  Newton's
 identities give a characteristic polynomial from the traces of powers
 (_trace_coeffs, from the baby and giant steps of Paterson and Stockmeyer
@@ -33,12 +54,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import _spinor
 from .algebra import (
     RATIONAL,
     Multivector,
+    Span,
     _require_finite,
     _scalar_step,
     _times,
@@ -102,7 +124,10 @@ class CharPolyData:
         return det if det else abs(det)
 
     def adjugate(self):
+        """b_(N-1) - B_(N-1), and -1 for N = 1, whose B_(0) - b_(0) is 1."""
         b = self.iterates[0]
+        if self.degree == 1:
+            return type(b).scalar(b.sig, -1, b.ring)
         return type(b).scalar(b.sig, self.coeffs[-2], b.ring) - self.iterates[-2]
 
 
@@ -151,60 +176,157 @@ def _central_coeff(u, length, k, differ):
     return ck, (u - ck if differ else None)
 
 
-def _char_poly(b):
-    """char_poly on b's own kernel, with that kernel's values."""
-    iterates, coeffs, differences = _faddeev_leverrier(
-        b, b.sig.charpoly_degree, _scalar_coeff
-    )
+def _require_finite_coeffs(coeffs, ring):
     # An overflowed f64 recursion leaves inf - inf = nan in the residue
     # too; report the overflow, not the nan.
-    if b.ring != RATIONAL and not all(map(math.isfinite, coeffs)):
+    if ring != RATIONAL and not all(map(math.isfinite, coeffs)):
         raise NumericalDegradationError(
             "a characteristic-polynomial coefficient overflows"
         )
-    _as_scalar(iterates[-1], b)
+
+
+def _char_poly(b, length=None):
+    """char_poly on b's own kernel, with that kernel's values: `length`
+    steps, by default N, whose last iterate must be a scalar."""
+    length = length or b.sig.charpoly_degree
+    iterates, coeffs, differences = _faddeev_leverrier(b, length, _scalar_coeff)
+    _require_finite_coeffs(coeffs, b.ring)
+    _as_scalar(iterates[-1], b, length)
     return CharPolyData(b.sig, iterates, coeffs, differences)
 
 
-def _generalized(b):
-    """The N/2 steps of the central recursion on b, on b's kernel."""
-    return GeneralizedCoeffs(
-        b.sig, *_faddeev_leverrier(b, b.sig.charpoly_degree // 2, _central_coeff)
-    )
+def _generalized(b, length=None):
+    """`length` steps of the central recursion on b, on b's kernel, by
+    default N/2."""
+    length = length or b.sig.charpoly_degree // 2
+    return GeneralizedCoeffs(b.sig, *_faddeev_leverrier(b, length, _central_coeff))
+
+
+def _rerun(cls, sig, b, length, step, coeffs):
+    """cls data of the given coefficients, whose iterates and differences
+    are those of `length` steps of step on b, run on the first read of
+    either."""
+    run = cache(partial(_faddeev_leverrier, b, length, step))
+    return cls(sig, partial(_field, run, 0), coeffs, partial(_field, run, 2))
+
+
+def _field(run, index):
+    return run()[index]
+
+
+def _spanned(b):
+    """(data, power): the scalar recursion of b in the coordinates of the
+    subalgebra S that its blades span, L = min(N, 2**r) steps, and
+    power = N / L.  Its Det_L and Adj_L give b's, Det_L**power and
+    Det_L**(power - 1) Adj_L.  On the matrices, and where b's blades
+    span all n generators, it is the N steps on b itself."""
+    span = Span.of(b) if isinstance(b, Multivector) else None
+    if span is None:
+        return _char_poly(b), 1
+    big_n = b.sig.charpoly_degree
+    length = min(big_n, span.ncoeffs)
+    return _char_poly(span.of_blades(b), length), big_n // length
+
+
+def _power(x, k):
+    """x**k by binary powering, so that an f64 power past the range is
+    inf, as a product is, where ** raises."""
+    result = 1
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
+def _poly_power(coeffs, power):
+    """The coefficients b_(k) of chi**power, for chi = lambda**L -
+    b_(1) lambda**(L-1) - ... - b_(L), coeffs its b_(k), and power a
+    power of two."""
+    poly = [1, *(-c for c in coeffs)]
+    while power > 1:
+        poly, power = _poly_product(poly, poly), power // 2
+    # 0 - c, so that a zero f64 coefficient is 0.0, not -0.0.
+    return tuple(0 - c for c in poly[1:])
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, c in enumerate(g):
+            out[i + j] += a * c
+    return out
+
+
+def _det(data, power):
+    """Det = Det_L**power of a recursion of _spanned; an f64 one past
+    the range is refused as its coefficient b_(N) would be."""
+    det = _power(data.determinant(), power)
+    _require_finite_coeffs((det,), data.iterates[0].ring)
+    return det
+
+
+def _inverse_parts(b):
+    """(Adj(b), Det(b)) of b on blades or matrices, Adj(b) on b's kernel:
+    Det_L**(power - 1) Adj_L and Det_L**power (_spanned)."""
+    data, power = _spanned(b)
+    adj = data.adjugate()
+    if power > 1:
+        adj = _times(adj, _power(data.determinant(), power - 1))
+    if type(adj.sig) is Span:
+        adj = adj.sig.to_blades(adj)
+    return adj, _det(data, power)
 
 
 def _blades(u, den=1):
-    """A value computed on either kernel over den, in one exact division:
-    an element as a Multivector, a scalar as a number."""
+    """A value computed on any kernel over den, in one exact division: an
+    element as a Multivector on blades, a scalar as a number."""
     if isinstance(u, _spinor.SpinorMatrix):
         u = u.multivector()
     elif not isinstance(u, Multivector):
         return _value(u, den)
-    return u if den == 1 else _times(u, Fraction(1) / den)
+    if den != 1:
+        u = _times(u, Fraction(1) / den)
+    return u.sig.to_blades(u) if type(u.sig) is Span else u
 
 
-def _public(data, s):
-    """The data of a recursion on s b as that of b: the k-th value over
-    s**k, the iterates and differences converted on first read."""
+def _public(data, sig, s):
+    """The data of a recursion on s b as that of b in sig: the k-th value
+    over s**k, the iterates and differences read and converted on first
+    read."""
 
-    def back(values):
+    def back(name):
+        values = getattr(data, name)
         return tuple(_blades(u, s ** k) for k, u in enumerate(values, start=1))
 
     return type(data)(
-        data.sig, partial(back, data.iterates), back(data.coeffs),
-        partial(back, data.differences),
+        sig, partial(back, "iterates"), back("coeffs"), partial(back, "differences")
     )
 
 
 def char_poly(b):
-    """Run the full N-step recursion on b, where _spinor.enter puts it.
+    """The characteristic polynomial of b, where _spinor.enter puts it,
+    from the recursion in the span of b's blades (_spanned): where that
+    takes L < N steps, its coefficients are those of chi_L**(N/L), and
+    its iterates and differences those of the N steps, run in S's
+    coordinates when first read.
 
     For exact scalars the final iterate is checked to be a pure scalar
     (a consequence of Cayley-Hamilton); for floats a residue that fails
     the zero test raises NumericalDegradationError.
     """
     (m,), s = _spinor.enter([b])
-    return _public(_char_poly(m), s)
+    data, power = _spanned(m)
+    if power > 1:
+        coeffs = _poly_power(data.coeffs, power)
+        _require_finite_coeffs(coeffs, b.ring)
+        data = _rerun(
+            CharPolyData, b.sig, data.iterates[0], b.sig.charpoly_degree,
+            _scalar_coeff, coeffs,
+        )
+    return _public(data, b.sig, s)
 
 
 def _trace_coeffs(b, central=False):
@@ -229,22 +351,25 @@ def _trace_coeffs(b, central=False):
 
 
 def determinant(b):
+    """Det(B) = -b_(N) = Det_L**(N/L) (_spanned)."""
     (m,), s = _spinor.enter([b])
-    return _blades(_char_poly(m).determinant(), s ** b.sig.charpoly_degree)
+    return _blades(_det(*_spanned(m)), s ** b.sig.charpoly_degree)
 
 
 def adjugate(b):
-    """Adj(B) = b_(N-1) - B_(N-1); satisfies B Adj(B) = Det(B) e."""
+    """Adj(B) = b_(N-1) - B_(N-1) = Det_L**(N/L - 1) Adj_L (_spanned);
+    satisfies B Adj(B) = Det(B) e."""
     (m,), s = _spinor.enter([b])
-    return _blades(_char_poly(m).adjugate(), s ** (b.sig.charpoly_degree - 1))
+    return _blades(_inverse_parts(m)[0], s ** (b.sig.charpoly_degree - 1))
 
 
-def is_zero_scalar(value, b):
+def is_zero_scalar(value, b, degree=None):
     """Whether a determinant-sized scalar derived from the element b is
     zero: exactly in the rational ring, and in f64 when it is finite and
     |value| <= ZERO_TOL * (1 + max|b|**N), for such values scale like
-    the N-th power of b's coefficients.  The bound is compared on the
-    exact ratios of the floats, as integers, so it cannot overflow."""
+    the N-th power of b's coefficients; a recursion of fewer steps gives
+    its own degree in place of N.  The bound is compared on the exact
+    ratios of the floats, as integers, so it cannot overflow."""
     if b.ring == RATIONAL:
         return value == 0
     if not math.isfinite(value):
@@ -256,17 +381,22 @@ def is_zero_scalar(value, b):
     if not math.isfinite(norm):
         return False
     m, dm = norm.as_integer_ratio()
-    big_n = b.sig.charpoly_degree
+    big_n = degree or b.sig.charpoly_degree
     return v * dt * dm ** big_n <= t * dv * (dm ** big_n + m ** big_n)
 
 
 def inverse(b):
+    """B**-1 = Adj(B) / Det(B) = Adj_L / Det_L (_spanned), where Det(B)
+    is not zero.  An f64 Det(B) past the range is not zero, and Adj_L /
+    Det_L is in range."""
     (m,), s = _spinor.enter([b])
-    data = _char_poly(m)
-    det = _blades(data.determinant(), s ** b.sig.charpoly_degree)
+    data, power = _spanned(m)
+    det_l = data.determinant()
+    det = _blades(_power(det_l, power), s ** b.sig.charpoly_degree)
     if is_zero_scalar(det, b):
         raise SingularElementError(f"element has determinant {det}")
-    return _blades(data.adjugate(), s ** (b.sig.charpoly_degree - 1) * det)
+    length = data.degree
+    return _blades(data.adjugate(), s ** (length - 1) * _value(det_l, s ** length))
 
 
 def generalized_coeffs(b):
@@ -274,17 +404,37 @@ def generalized_coeffs(b):
 
     Runs N/2 steps of the recursion with the center projection in place
     of the scalar projection; the k-th coefficient is
-    ((N/2)/k) <B'_(k)>_cen, a multivector in Cl^0 + Cl^n.
+    ((N/2)/k) <B'_(k)>_cen, a multivector in Cl^0 + Cl^n.  On blades it
+    runs in the coordinates of the span S of b's blades.  Where S holds
+    the pseudoscalar, those are the N/2 central steps.  Where it does
+    not, the center meets S in the scalars alone, so the central steps
+    are the scalar ones, and the coefficients are those of
+    chi_L**(N/(2L)) for the L = min(N/2, 2**r) scalar steps on S; the
+    iterates and differences are the N/2 central steps', run when first
+    read.
     """
     if b.sig.dim % 2 == 0:
         raise ValueError("generalized coefficients are defined for odd n")
     (m,), s = _spinor.enter([b])
-    return _public(_generalized(m), s)
+    half = b.sig.charpoly_degree // 2
+    span = Span.of(m) if isinstance(m, Multivector) else None
+    if span is None:
+        data = _generalized(m)
+    elif span.holds_pseudoscalar:
+        data = _generalized(span.of_blades(m), half)
+    else:
+        inside = span.of_blades(m)
+        length = min(half, span.ncoeffs)
+        coeffs = _poly_power(_char_poly(inside, length).coeffs, half // length)
+        _require_finite_coeffs(coeffs, b.ring)
+        central = tuple(Multivector.scalar(b.sig, c, b.ring) for c in coeffs)
+        data = _rerun(GeneralizedCoeffs, b.sig, inside, half, _central_coeff, central)
+    return _public(data, b.sig, s)
 
 
-def _as_scalar(u, reference):
+def _as_scalar(u, reference, degree=None):
     residue = u.nonscalar_norm()
-    if is_zero_scalar(residue, reference):
+    if is_zero_scalar(residue, reference, degree):
         return u.scalar_part()
     if u.ring == RATIONAL:
         raise InternalError("expected a pure scalar result")

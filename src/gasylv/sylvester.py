@@ -15,7 +15,12 @@ closed forms invert D by the closed adjugate of their dimension.  On
 exact spinor matrices the recursions invert D through the resultant of
 A's and B's characteristic polynomials, from the powers of A already
 assembled and with no product; in f64 and on blades, by D's own
-characteristic polynomial (see _adjugate).
+characteristic polynomial (see _adjugate).  On blades that recursion
+runs in the subalgebra that D's blades span, where a sparse D has few
+coordinates and needs L = min(N, 2**r) steps for r the rank of its
+blade masks: Det(D) = Det_L**(N/L) and Adj(D) = Det_L**(N/L - 1) Adj_L
+(charpoly._inverse_parts).  A dense D spans every generator and takes
+the N steps on its blades.
 One table states the n each method accepts; the default is
 the first method accepting n.  At odd n the full phi_B(A) can vanish on
 a problem that is not singular, so a zero Q from general is retried
@@ -70,6 +75,7 @@ from .charpoly import (
     _char_poly,
     _closed_adjugate,
     _generalized,
+    _inverse_parts,
     _newton,
     _OnFirstRead,
     _resultant,
@@ -283,14 +289,14 @@ def _adjugate(phi, method):
     take the resultant of A's and B's char polys (_resultant_adjugate).
     In f64, where a remainder sequence is unstable, and on blades, where
     sparse operands keep D's own recursion cheaper than the degree-N
-    remainder sequence, they take the char poly of D."""
+    remainder sequence, they take the char poly of D, in the span of
+    D's blades (charpoly._inverse_parts)."""
     d = phi.d
     if method not in _RECURSIONS:
         adj = _closed_adjugate(d, sharp_form=method == CLOSED_N4_V2)
         return adj, _as_scalar(d * adj, d)
     if d.ring == FLOAT64 or isinstance(d, Multivector):
-        inv = _char_poly(d)
-        return inv.adjugate(), inv.determinant()
+        return _inverse_parts(d)
     return _resultant_adjugate(phi, method)
 
 

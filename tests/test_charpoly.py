@@ -437,14 +437,23 @@ def _recursion_text(b):
     return "\n".join(parts)
 
 
+# sha256 per ring of the recursions of
+# test_sparse_blade_recursions_are_pinned_by_digest.
+RECURSION_DIGESTS = {
+    RATIONAL: "da2ca6091280d32989acc74ba7385f74419bad456df8b8a86c2a7b8587ffe3fb",
+    FLOAT64: "2ef9d474b382558778ffb4c4e63e291a3821429680d2f7d277df872ee46656bf",
+}
+
+
 def test_sparse_blade_recursions_are_pinned_by_digest():
-    # One sha256 over char_poly (iterates, coefficients, differences),
-    # generalized_coeffs at odd n, determinant and inverse of sparse
-    # elements with k/d coefficients, and some in f64, at n = 2..10, all
-    # of them on blades: a change to the Faddeev-LeVerrier step that
-    # moves a value or a type shows here.
+    # One sha256 per ring over char_poly (iterates, coefficients,
+    # differences), generalized_coeffs at odd n, determinant and inverse of
+    # sparse elements with k/d coefficients at n = 2..10, all of them on
+    # blades: a change to the Faddeev-LeVerrier step that moves a value or
+    # a type shows here.  The two rings draw from one stream, so each
+    # digest covers the same elements whatever the other's values.
     rng = random.Random(27)
-    digest = hashlib.sha256()
+    digests = {RATIONAL: hashlib.sha256(), FLOAT64: hashlib.sha256()}
     for n in range(2, 11):
         for p in (n, n - n // 2, 0):
             sig = Signature(p, n - p)
@@ -455,7 +464,5 @@ def test_sparse_blade_recursions_are_pinned_by_digest():
                 }
                 b = Multivector.from_terms(sig, terms, ring)
                 assert not _spinor.pays_off(b, b)
-                digest.update(_recursion_text(b).encode())
-    assert digest.hexdigest() == (
-        "c82bef108f0857081e0d628db0fc1fc461ca79c0c6dffe1fcf74912263615ed4"
-    )
+                digests[ring].update(_recursion_text(b).encode())
+    assert {ring: d.hexdigest() for ring, d in digests.items()} == RECURSION_DIGESTS

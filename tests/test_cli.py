@@ -575,15 +575,37 @@ def _digest_runs():
                     yield argv
 
 
-# sha256 over the argv, exit code and stdout of every call of _digest_runs.
-CLI_DIGEST = "d2ecd755d00049e8b66f1340fcafc94927f81913a55993bc2a3fb89437d68207"
+# sha256 over the argv, exit code and stdout of every call of _digest_runs,
+# one per ring: the rational calls (plain and --decimal) and the f64 ones.
+CLI_DIGESTS = {
+    RATIONAL: "0244854fedbcffef94a4e3b3125c8ebdf39953b1be28c58c0ea3841e034a117c",
+    FLOAT64: "e893c574170af9c75b0cbbd6caa1db76571e336fd522716a8b1a0ec1e49b32b2",
+}
 
 
 def test_cli_output_is_pinned_by_digest():
-    digest = hashlib.sha256()
+    digests = {RATIONAL: hashlib.sha256(), FLOAT64: hashlib.sha256()}
     for argv in _digest_runs():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        digest.update(f"{argv}\n{code}\n{out.getvalue()}\n".encode())
-    assert digest.hexdigest() == CLI_DIGEST
+        ring = argv[argv.index("--scalar") + 1]
+        digests[ring].update(f"{argv}\n{code}\n{out.getvalue()}\n".encode())
+    assert {ring: d.hexdigest() for ring, d in digests.items()} == CLI_DIGESTS
+
+
+def test_f64_det_of_a_sparse_n9_element_answers():
+    # The 32 f64 Faddeev-LeVerrier steps on the blades of this element
+    # left a residue of about 100 (exit 3).  Its blades span r = 2, so 4
+    # steps run in that span, and Det = Det_4**8.  The stated bound, 1e-12
+    # relative, is above (N/L) L (2**r + 1) 2**-53 ||b||_1**L / |Det_L| =
+    # 8 * 4 * 5 * 2**-53 * 4**4 / 14.8 = 3.1e-13.
+    text = "-9/6 + 1.25e123459 + 1.25e12479"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["det", "--signature", "9,0", "--scalar", "f64", "--b", text])
+    assert code == 0
+    det = Fraction(float(out.getvalue().removeprefix("Det = ")))
+    exact = determinant(parse_multivector(text.replace("1.25", "5/4"), Signature(9, 0), RATIONAL))
+    assert round(float(exact), -6) == 2_337_000_000
+    assert abs(det - exact) <= Fraction(1, 10 ** 12) * abs(exact)
